@@ -1,8 +1,9 @@
 // Engine benchmarks, in two modes:
 //
 //  * default: google-benchmark microbenchmarks of end-to-end runs per
-//    heuristic class (slots/sec, fast-forward on and off), one incremental
-//    configuration build, and raw availability stepping;
+//    heuristic class (slots/sec, fast-forward on and off), incremental
+//    configuration builds (cold, and a delta rebuild after one worker's
+//    change), and raw availability stepping;
 //  * --emit_json[=PATH]: the CI perf smoke — run the reduced sweep per
 //    heuristic with the event-horizon fast path ON and OFF (same binary,
 //    same seeds), verify the outcomes are identical, and write
@@ -90,28 +91,61 @@ BENCHMARK(BM_Run_IE_PerSlot)->Args({5, 2});
 BENCHMARK(BM_Run_YIE_PerSlot)->Args({5, 2})->Args({5, 8});
 BENCHMARK(BM_Run_EIAY_PerSlot)->Args({5, 2});
 
-void BM_IncrementalBuild(benchmark::State& state) {
+/// All-UP view of the bench scenario, owning what the view points into
+/// (so it is neither copied nor moved: the spans would dangle).
+struct BuildView {
+  std::vector<markov::State> states;
+  std::vector<model::Holdings> holdings;
+  std::vector<long> comm;
+  sim::SchedulerView view;
+
+  explicit BuildView(const platform::Scenario& scenario)
+      : states(static_cast<std::size_t>(scenario.platform.size()), markov::State::Up),
+        holdings(states.size()),
+        comm(states.size(), 0) {
+    view.platform = &scenario.platform;
+    view.app = &scenario.app;
+    view.states = states;
+    view.holdings = holdings;
+    view.comm_remaining = comm;
+  }
+  BuildView(const BuildView&) = delete;
+  BuildView& operator=(const BuildView&) = delete;
+};
+
+// Cold build: a new builder per iteration, so every build runs the full
+// greedy (no trace to replay from).
+void BM_IncrementalBuildCold(benchmark::State& state) {
+  const auto scenario = bench_scenario(static_cast<int>(state.range(0)), 2);
+  sched::Estimator est(scenario.platform, scenario.app, 1e-6);
+  BuildView bv(scenario);
+  for (auto _ : state) {
+    sched::IncrementalBuilder builder(sched::Rule::IE, est);
+    builder.set_memo(false);  // measure the build itself, not the memo hit
+    benchmark::DoNotOptimize(builder.build(bv.view));
+  }
+}
+BENCHMARK(BM_IncrementalBuildCold)->Arg(5)->Arg(10);
+
+// Delta rebuild: one long-lived builder; each iteration toggles one
+// worker's UP bit before building, so every build diffs exactly one changed
+// worker against the previous build's trace. The toggled worker moves on
+// every second iteration (after it is back UP), so the mix covers changed
+// round winners (partial replay) and changed losers (full replay).
+void BM_IncrementalRebuild(benchmark::State& state) {
   const auto scenario = bench_scenario(static_cast<int>(state.range(0)), 2);
   sched::Estimator est(scenario.platform, scenario.app, 1e-6);
   sched::IncrementalBuilder builder(sched::Rule::IE, est);
-  builder.set_memo(false);  // measure the build itself, not the memo hit
-
-  std::vector<markov::State> states(static_cast<std::size_t>(scenario.platform.size()),
-                                    markov::State::Up);
-  std::vector<model::Holdings> holdings(states.size());
-  std::vector<long> comm(states.size(), 0);
-  sim::SchedulerView view;
-  view.platform = &scenario.platform;
-  view.app = &scenario.app;
-  view.states = states;
-  view.holdings = holdings;
-  view.comm_remaining = comm;
-
+  builder.set_memo(false);
+  BuildView bv(scenario);
+  std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(builder.build(view));
+    auto& s = bv.states[(i++ / 2) % bv.states.size()];
+    s = s == markov::State::Up ? markov::State::Reclaimed : markov::State::Up;
+    benchmark::DoNotOptimize(builder.build(bv.view));
   }
 }
-BENCHMARK(BM_IncrementalBuild)->Arg(5)->Arg(10);
+BENCHMARK(BM_IncrementalRebuild)->Arg(5)->Arg(10);
 
 void BM_AvailabilityAdvance(benchmark::State& state) {
   const auto scenario = bench_scenario(5, 2);

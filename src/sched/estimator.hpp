@@ -24,8 +24,9 @@
 //
 // Set-level statistics are additionally front-cached per view by membership
 // bitmask (the platform is fixed per run), so the incremental heuristics'
-// O(m*p) candidate evaluations per decision never touch a lock after
-// warm-up. Instances are NOT thread-safe; use one per run.
+// candidate evaluations (up to m*p per cold build, only the changed workers'
+// per round of a delta rebuild) never touch a lock after warm-up. Instances
+// are NOT thread-safe; use one per run.
 #pragma once
 
 #include <algorithm>
@@ -198,10 +199,13 @@ class Estimator {
   /// across all trials and heuristics of a scenario: restarts re-enter the
   /// same (UP set, holdings) signatures over and over across trials, and a
   /// build is a pure function of the signed inputs, so a memo hit returns
-  /// exactly what a rebuild would. Open-addressed for the same reason as
-  /// SetCache: the lookup runs once per proactive consult, where bucket
-  /// chasing was measurable. Bounded like the set cache, with the same
-  /// epoch-retired eviction (references survive one full epoch).
+  /// exactly what a rebuild would. A miss is a delta rebuild against the
+  /// builder's previous build (DESIGN.md §16): it usually rescores only the
+  /// workers whose inputs changed, not all m*p candidates. Open-addressed
+  /// for the same reason as SetCache: the lookup runs once per proactive
+  /// consult, where bucket chasing was measurable. Bounded like the set
+  /// cache, with the same epoch-retired eviction (references survive one
+  /// full epoch).
   class BuildMemo {
    public:
     /// The memoized build for `key`, or nullptr. The pointer is stable
@@ -239,8 +243,8 @@ class Estimator {
   }
 
  private:
-  /// Open-addressing bitmask -> CoupledStats front cache. set_stats sits on
-  /// the m*p-evaluations-per-decision hot path, where std::unordered_map's
+  /// Open-addressing bitmask -> CoupledStats front cache. set_stats sits
+  /// under every candidate evaluation of a build, where std::unordered_map's
   /// bucket chasing is measurable; linear probing over a power-of-two table
   /// of (key, slot) pairs is 2-3x cheaper per hit. Values live in a stable
   /// deque-like store so returned references survive growth, and eviction

@@ -77,8 +77,10 @@ class RandomScheduler final : public sim::Scheduler {
 /// The candidate depends only on (UP set, holdings) — and additionally on
 /// elapsed time for the IY rule — so it is memoized on a signature of those
 /// inputs in the estimator's shared build memo (availability flaps and
-/// paired trials revisit the same signatures over and over, and a rebuild
-/// costs m*p estimator evaluations). IY rebuilds every slot.
+/// paired trials revisit the same signatures over and over). A memo miss is
+/// a delta rebuild that rescores only the workers whose inputs changed since
+/// this scheduler's previous build (DESIGN.md §16). IY rebuilds every slot,
+/// from scratch.
 /// Quiescence (see DESIGN.md §8): after a "no switch" answer under a
 /// non-IY rule without compute crediting, the decision is stable until a
 /// worker joins the UP set or a candidate worker's UP-membership changes

@@ -3,10 +3,13 @@
 // proactive switching / stability / caching equivalence.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <random>
 #include <set>
 
 #include "platform/availability.hpp"
 #include "platform/scenario.hpp"
+#include "scen/registry.hpp"
 #include "sched/heuristics.hpp"
 #include "sched/registry.hpp"
 #include "sim/engine.hpp"
@@ -230,6 +233,175 @@ TEST(IncrementalBuilder, EstimateFreshMatchesBuildEstimate) {
   EXPECT_NEAR(re.e_time, built.estimate.e_time, 1e-12);
 }
 
+TEST(IncrementalBuilder, SignatureSeparatesLargeDataCounts) {
+  // m is unbounded spec input and mu_q = m, so a worker can hold more than
+  // 65535 data messages; views differing only there must not share a memo
+  // entry.
+  std::vector<platform::Processor> procs(1);
+  procs[0].speed = 1;
+  procs[0].max_tasks = 70000;
+  procs[0].availability = markov::TransitionMatrix::from_self_loops(1.0, 0.9, 0.9);
+  platform::Platform plat(std::move(procs), 1);
+  ViewFixture fx(std::move(plat), small_app(70000, /*t_prog=*/0, /*t_data=*/1));
+  fx.holdings[0].data_messages = 66000;
+  const auto sig_a = view_signature(fx.view());
+  Estimator est(fx.plat, fx.app, 1e-6);
+  IncrementalBuilder memoized(Rule::IE, est);
+  const auto a = memoized.build(fx.view());
+
+  fx.holdings[0].data_messages = 67000;
+  EXPECT_NE(view_signature(fx.view()), sig_a);
+  const auto b = memoized.build(fx.view());
+  Estimator oracle_est(fx.plat, fx.app, 1e-6);
+  const auto want = IncrementalBuilder(Rule::IE, oracle_est).build(fx.view());
+  EXPECT_TRUE(b.config == want.config);
+  EXPECT_EQ(b.estimate.e_time, want.estimate.e_time);
+  EXPECT_NE(b.estimate.e_time, a.estimate.e_time);
+}
+
+TEST(IncrementalBuilder, SignatureIgnoresNonUpHoldings) {
+  ViewFixture fx(heterogeneous_platform(), small_app(3));
+  fx.states[2] = State::Down;
+  const auto sig = view_signature(fx.view());
+  fx.holdings[2].has_program = true;
+  fx.holdings[2].data_messages = 2;
+  EXPECT_EQ(view_signature(fx.view()), sig);
+  fx.states[2] = State::Up;
+  EXPECT_NE(view_signature(fx.view()), sig);
+}
+
+// Delta rebuilds: a long-lived builder, fed a random sequence of views,
+// must return exactly what a never-used builder on a separate Estimator
+// returns for each view — same configuration, bitwise-equal estimate.
+enum class DeltaPlatform { Paper, Clusters, Capped };
+
+struct DeltaCase {
+  Rule rule;
+  DeltaPlatform platform;
+  bool memo;
+};
+
+platform::Scenario delta_scenario(DeltaPlatform kind) {
+  platform::ScenarioParams params;
+  params.m = 6;
+  params.ncom = 3;
+  params.wmin = 2;
+  params.seed = 41;
+  switch (kind) {
+    case DeltaPlatform::Paper: return platform::make_scenario(params);
+    case DeltaPlatform::Clusters: return scen::platform_family("clusters")->make(params);
+    case DeltaPlatform::Capped: break;
+  }
+  // Clusters with mu_q in {1, 2}: capacity runs out mid-build, so
+  // infeasible views end the greedy at varying rounds.
+  auto scenario = scen::platform_family("clusters")->make(params);
+  std::vector<platform::Processor> procs;
+  for (int q = 0; q < scenario.platform.size(); ++q) {
+    auto pr = scenario.platform.proc(q);
+    pr.max_tasks = 1 + q % 2;
+    procs.push_back(pr);
+  }
+  scenario.platform = platform::Platform(std::move(procs), params.ncom);
+  return scenario;
+}
+
+class DeltaRebuild : public ::testing::TestWithParam<DeltaCase> {};
+
+TEST_P(DeltaRebuild, MatchesNeverUsedBuilder) {
+  const DeltaCase c = GetParam();
+  const auto scenario = delta_scenario(c.platform);
+  ViewFixture fx(scenario.platform, scenario.app);
+  const int p = fx.plat.size();
+  const int m = fx.app.num_tasks;
+  Estimator est(fx.plat, fx.app, 1e-6);
+  Estimator oracle_est(fx.plat, fx.app, 1e-6);
+  IncrementalBuilder builder(c.rule, est);
+  builder.set_memo(c.memo);
+
+  std::mt19937_64 rng(1234 + static_cast<int>(c.rule) * 10 +
+                      static_cast<int>(c.platform));
+  const auto pick = [&rng](int n) {
+    return static_cast<int>(rng() % static_cast<std::uint64_t>(n));
+  };
+  const auto set_state = [&fx](int q, State s) {
+    const auto qi = static_cast<std::size_t>(q);
+    fx.states[qi] = s;
+    if (s == State::Down) fx.holdings[qi].crash();
+  };
+  const State kStates[] = {State::Up, State::Reclaimed, State::Down};
+
+  int infeasible = 0;
+  for (int step = 0; step < 600; ++step) {
+    switch (pick(8)) {
+      case 0:
+      case 1:
+      case 2: {  // one worker joins or leaves the UP set
+        const int q = pick(p);
+        set_state(q, fx.states[static_cast<std::size_t>(q)] == State::Up
+                         ? kStates[1 + pick(2)]
+                         : State::Up);
+        break;
+      }
+      case 3:  // data-message progress, or an iteration boundary
+        for (int j = 0; j < 1 + pick(2); ++j) {
+          auto& h = fx.holdings[static_cast<std::size_t>(pick(p))];
+          h.data_messages = pick(2) ? std::min(m, h.data_messages + 1) : 0;
+        }
+        break;
+      case 4:
+        fx.holdings[static_cast<std::size_t>(pick(p))].has_program ^= true;
+        break;
+      case 5:  // crash of a few workers
+        for (int j = 0; j < 1 + pick(3); ++j) set_state(pick(p), State::Down);
+        break;
+      case 6:  // near-empty UP set: infeasible for most m
+        for (int q = 0; q < p; ++q) set_state(q, pick(12) ? State::Reclaimed : State::Up);
+        break;
+      default:  // recovery: most workers back UP, holdings reshuffled
+        for (int q = 0; q < p; ++q) {
+          set_state(q, kStates[pick(4) == 0 ? 1 + pick(2) : 0]);
+          fx.holdings[static_cast<std::size_t>(q)].data_messages = pick(m + 1);
+        }
+        break;
+    }
+    const auto view = fx.view(nullptr, /*elapsed=*/step % 37);
+    const auto got = builder.build(view);
+    IncrementalBuilder oracle(c.rule, oracle_est);
+    oracle.set_memo(false);
+    const auto want = oracle.build(view);
+    ASSERT_TRUE(got.config == want.config) << "step " << step;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.estimate.p_success),
+              std::bit_cast<std::uint64_t>(want.estimate.p_success))
+        << "step " << step;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.estimate.e_time),
+              std::bit_cast<std::uint64_t>(want.estimate.e_time))
+        << "step " << step;
+    if (want.config.empty()) ++infeasible;
+  }
+  EXPECT_GT(infeasible, 0);
+  EXPECT_LT(infeasible, 600);
+}
+
+std::vector<DeltaCase> delta_cases() {
+  std::vector<DeltaCase> cases;
+  for (Rule rule : {Rule::IP, Rule::IE, Rule::IAY, Rule::IY}) {
+    for (DeltaPlatform plat :
+         {DeltaPlatform::Paper, DeltaPlatform::Clusters, DeltaPlatform::Capped}) {
+      for (bool memo : {false, true}) cases.push_back({rule, plat, memo});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rules, DeltaRebuild, ::testing::ValuesIn(delta_cases()), [](const auto& info) {
+      const DeltaCase& c = info.param;
+      const char* plat = c.platform == DeltaPlatform::Paper      ? "paper"
+                         : c.platform == DeltaPlatform::Clusters ? "clusters"
+                                                                 : "capped";
+      return std::string(to_string(c.rule)) + "_" + plat + (c.memo ? "_memo" : "");
+    });
+
 // -------------------------------------------------------------- RANDOM ----
 
 TEST(Random, DeterministicPerSeed) {
@@ -346,6 +518,28 @@ TEST(Proactive, SwitchesWhenBetterWorkersAppear) {
   EXPECT_LT(r1.makespan, r2.makespan);
 }
 
+void expect_same_result(const sim::SimulationResult& a, const sim::SimulationResult& b) {
+  EXPECT_EQ(a.success, b.success);
+  EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.iterations_completed, b.iterations_completed);
+  EXPECT_EQ(a.total_restarts, b.total_restarts);
+  EXPECT_EQ(a.total_reconfigurations, b.total_reconfigurations);
+  EXPECT_EQ(a.idle_slots, b.idle_slots);
+  ASSERT_EQ(a.iterations.size(), b.iterations.size());
+  for (std::size_t i = 0; i < a.iterations.size(); ++i) {
+    const auto& x = a.iterations[i];
+    const auto& y = b.iterations[i];
+    EXPECT_EQ(x.start_slot, y.start_slot) << "iteration " << i;
+    EXPECT_EQ(x.end_slot, y.end_slot) << "iteration " << i;
+    EXPECT_EQ(x.comm_slots, y.comm_slots) << "iteration " << i;
+    EXPECT_EQ(x.stalled_slots, y.stalled_slots) << "iteration " << i;
+    EXPECT_EQ(x.compute_slots, y.compute_slots) << "iteration " << i;
+    EXPECT_EQ(x.suspended_slots, y.suspended_slots) << "iteration " << i;
+    EXPECT_EQ(x.restarts, y.restarts) << "iteration " << i;
+    EXPECT_EQ(x.reconfigurations, y.reconfigurations) << "iteration " << i;
+  }
+}
+
 TEST(Proactive, CachingDoesNotChangeSchedules) {
   platform::ScenarioParams params;
   params.m = 5;
@@ -358,7 +552,7 @@ TEST(Proactive, CachingDoesNotChangeSchedules) {
   for (auto [crit, rule] : {std::pair{Criterion::P, Rule::IE},
                             std::pair{Criterion::E, Rule::IAY},
                             std::pair{Criterion::Y, Rule::IP}}) {
-    long makespans[2] = {0, 0};
+    sim::SimulationResult results[2];
     for (int pass = 0; pass < 2; ++pass) {
       ProactiveScheduler sched(crit, rule, est);
       sched.set_caching(pass == 0);
@@ -366,10 +560,10 @@ TEST(Proactive, CachingDoesNotChangeSchedules) {
       sim::EngineOptions opts;
       opts.slot_cap = 100000;
       sim::Engine engine(scenario.platform, scenario.app, avail, sched, opts);
-      makespans[pass] = engine.run().makespan;
+      results[pass] = engine.run();
     }
-    EXPECT_EQ(makespans[0], makespans[1])
-        << to_string(crit) << "-" << to_string(rule);
+    SCOPED_TRACE(std::string(to_string(crit)) + "-" + std::string(to_string(rule)));
+    expect_same_result(results[0], results[1]);
   }
 }
 

@@ -104,8 +104,16 @@ double ChainSurvival::grow_to(long t) {
     ++n;
     if (s == 0.0) break;  // all later entries are equal zeros
   }
+  extend_monotone(published_.load(std::memory_order_relaxed), n);
   published_.store(n, std::memory_order_release);
   return t < n ? write_[t] : 0.0;
+}
+
+void ChainSurvival::extend_monotone(long from, long n) noexcept {
+  long m = monotone_.load(std::memory_order_relaxed);
+  if (m < from) return;  // broken earlier: the prefix never grows again
+  while (m < n && (m == 0 || write_[m] <= write_[m - 1])) ++m;
+  monotone_.store(m, std::memory_order_release);
 }
 
 void ChainSurvival::seed_from(const double* data, long len, UrRow row) {
@@ -121,6 +129,7 @@ void ChainSurvival::seed_from(const double* data, long len, UrRow row) {
   write_ = const_cast<double*>(data);
   capacity_ = len;
   row_ = row;
+  extend_monotone(0, len);
   flat_.store(data, std::memory_order_release);
   published_.store(len, std::memory_order_release);
 }

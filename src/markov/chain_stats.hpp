@@ -109,6 +109,19 @@ class ChainSurvival {
   /// once the table has reached its terminal exact zero).
   double grow_to(long t);
 
+  /// True when entries 0..t are non-increasing, compared exactly. Entries
+  /// past a terminal exact zero count as that zero. Answered from the
+  /// monotone prefix recorded as entries are appended (or seeded); t at or
+  /// past an unpublished entry answers false. The proactive scheduler's
+  /// comm-phase quiescence relies on it (DESIGN.md §8).
+  [[nodiscard]] bool monotone_through(long t) const noexcept {
+    if (t < 0) return true;
+    const long n = published();
+    const long m = monotone_.load(std::memory_order_acquire);
+    if (t < m) return true;
+    return m >= n && n > 0 && flat()[n - 1] == 0.0;
+  }
+
   /// Batched probe: out[i] = P(not DOWN within depths[i] slots) for every i,
   /// bit-identical to per-depth at()/grow_to() calls. The published length
   /// and flat array are acquired ONCE for the whole batch (instead of once
@@ -136,8 +149,15 @@ class ChainSurvival {
   /// standing at entry published-1 — the persistable frontier state.
   UrRow snapshot(std::vector<double>& out);
 
+  /// Extend monotone_ over the entries [from, n) of write_ (under mu_, or
+  /// before the entry is published).
+  void extend_monotone(long from, long n) noexcept;
+
   std::atomic<const double*> flat_{nullptr};
   std::atomic<long> published_{0};
+  /// Length of the longest non-increasing prefix of the table (float64
+  /// rounding can break it: a failure-free chain's u + r drifts by an ulp).
+  std::atomic<long> monotone_{0};
   std::mutex mu_;   ///< serializes appends only
   long capacity_ = 0;
   double* write_ = nullptr;  ///< the current array, mutably (== flat_)

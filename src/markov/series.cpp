@@ -99,6 +99,10 @@ const std::array<double, 2>& CoupledStats::wtab_grow(long w) const {
       et = sp <= 0.0 ? std::numeric_limits<double>::infinity() : numer / sp;
     }
     wtab_.push_back({sp, et});
+    const auto i = static_cast<std::size_t>(size);
+    if (wmono_ == size && (i == 0 || et >= wtab_[i - 1][1])) {
+      wmono_ = static_cast<std::int32_t>(size + 1);
+    }
   }
   return wtab_[static_cast<std::size_t>(w)];
 }

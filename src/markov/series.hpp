@@ -20,6 +20,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -84,6 +85,14 @@ struct CoupledStats {
     return wtab(w)[1];
   }
 
+  /// True when expected_time(0..w) is non-decreasing, compared exactly.
+  /// Answered from the monotone prefix the w-memo records as it grows, so
+  /// w past the memoized range answers false. The proactive scheduler's
+  /// comm-phase quiescence relies on it (DESIGN.md §8).
+  [[nodiscard]] bool expected_time_monotone_through(long w) const noexcept {
+    return w < wmono_;
+  }
+
  private:
   /// Lazily grown memo of (success_prob, expected_time) indexed by w: the
   /// incremental heuristics evaluate m*p candidates per decision, each
@@ -101,6 +110,10 @@ struct CoupledStats {
   const std::array<double, 2>& wtab_grow(long w) const;
   double pow_success(long w) const;       ///< P+^(w-1), w > kMaxMemoW
   double big_expected_time(long w) const; ///< reference form, w > kMaxMemoW
+  /// Length of the longest prefix of wtab_ whose expected_time column is
+  /// non-decreasing (at most kMaxMemoW + 1). Declared before wtab_ so it
+  /// fills the padding after the flags: set caches hold millions of these.
+  mutable std::int32_t wmono_ = 0;
   mutable std::vector<std::array<double, 2>> wtab_;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace tcgrid::sched {
@@ -219,6 +220,25 @@ double Estimator::expected_comm_time(std::span<const CommNeed> needs) const {
                                   static_cast<double>(platform_.ncom()));
   }
   return e_comm;
+}
+
+bool Estimator::comm_progress_monotone(std::span<const CommNeed> needs,
+                                       std::span<const int> set) const {
+  for (const auto& n : needs) {
+    if (n.slots > 0 && !proc_stats(n.proc).expected_time_monotone_through(n.slots)) {
+      return false;
+    }
+  }
+  // Lower needs give a no-larger e_comm (a max of non-decreasing terms and
+  // total/ncom), hence a no-larger survival depth ceil(e_comm).
+  const double e_comm = expected_comm_time(needs);
+  if (e_comm <= 0.0) return true;
+  if (!(e_comm < static_cast<double>(std::numeric_limits<long>::max()))) return false;
+  const long t = static_cast<long>(std::ceil(e_comm));
+  for (int q : set) {
+    if (!surv_of_[static_cast<std::size_t>(q)]->monotone_through(t)) return false;
+  }
+  return true;
 }
 
 IterationEstimate Estimator::evaluate(std::span<const CommNeed> needs,

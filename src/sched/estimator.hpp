@@ -166,6 +166,18 @@ class Estimator {
   /// Expected communication-phase duration alone (paper §V-B).
   [[nodiscard]] double expected_comm_time(std::span<const CommNeed> needs) const;
 
+  /// Whether evaluate(needs', set, w) is at least as good as
+  /// evaluate(needs, set, w) — p_success no lower, e_time no higher — for
+  /// every needs' reached from `needs` by lowering entries. True when each
+  /// worker's expected_time table is non-decreasing through its need and
+  /// each survival table is non-increasing through the depth evaluate()
+  /// reads, judged from the monotone prefixes the tables record (exact,
+  /// no tolerance). Call it after evaluate(needs, set, w), which grows the
+  /// tables this reads. The proactive scheduler's comm-phase quiescence
+  /// rests on it (DESIGN.md §8).
+  [[nodiscard]] bool comm_progress_monotone(std::span<const CommNeed> needs,
+                                            std::span<const int> set) const;
+
   [[nodiscard]] double eps() const noexcept { return eps_; }
   [[nodiscard]] const platform::Platform& platform() const noexcept { return platform_; }
   [[nodiscard]] const model::Application& app() const noexcept { return app_; }

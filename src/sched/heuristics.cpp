@@ -131,6 +131,15 @@ void ProactiveScheduler::report_no_switch(const BuiltConfiguration& cand,
     report(q_, Kind::EverySlot);
     return;
   }
+  // In a communication phase the answer must also survive mid-message
+  // progress, which leaves the candidate alone and can only raise the
+  // current score — provided the tables evaluate() read for cur_needs_ are
+  // monotone over the range the shrinking needs will reach (DESIGN.md §8).
+  // With no need left (compute phase) the check passes trivially.
+  if (!builder_.estimator().comm_progress_monotone(cur_needs_, cur_set_)) {
+    report(q_, Kind::EverySlot);
+    return;
+  }
   q_.kind = Kind::UntilEvent;
   q_.horizon = crit_ == Criterion::Y ? stable_horizon(cur, cand.estimate, elapsed)
                                      : sim::Quiescence::kUnbounded;

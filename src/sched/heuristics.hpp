@@ -83,12 +83,17 @@ class RandomScheduler final : public sim::Scheduler {
 /// from scratch.
 /// Quiescence (see DESIGN.md §8): after a "no switch" answer under a
 /// non-IY rule without compute crediting, the decision is stable until a
-/// worker joins the UP set or a candidate worker's UP-membership changes
-/// (UntilEvent, watching the memoized candidate's workers). The Y criterion
-/// additionally reports a slot horizon: its scores decay with elapsed time,
-/// so the no-switch comparison can flip with no state change at all; the
-/// horizon is found by replaying decide()'s exact floating-point comparison
-/// at future elapsed values, which keeps fast-forwarded runs bit-identical.
+/// worker joins the UP set, a candidate worker's UP-membership changes
+/// (UntilEvent, watching the memoized candidate's workers) or a served
+/// transfer completes a message. Mid-message progress is covered: it
+/// changes no build input, and it can only raise the installed
+/// configuration's score while the estimator tables it reads are monotone
+/// over the needed range; when they are not (float64 drift), a comm-phase
+/// answer reports EverySlot. The Y criterion additionally reports a slot
+/// horizon: its scores decay with elapsed time, so the no-switch comparison
+/// can flip with no state change at all; the horizon is found by replaying
+/// decide()'s exact floating-point comparison at future elapsed values,
+/// which keeps fast-forwarded runs bit-identical.
 class ProactiveScheduler final : public sim::Scheduler {
  public:
   ProactiveScheduler(Criterion crit, Rule rule, const Estimator& estimator);
@@ -127,7 +132,8 @@ class ProactiveScheduler final : public sim::Scheduler {
   std::string name_;
   bool credit_compute_ = false;
 
-  // Scratch for current_estimate (hoisted allocations).
+  // Scratch for current_estimate (hoisted allocations); report_no_switch
+  // reads the needs the last current_estimate left here.
   mutable std::vector<int> cur_set_;
   mutable std::vector<Estimator::CommNeed> cur_needs_;
 

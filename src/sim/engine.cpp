@@ -103,6 +103,7 @@ void Engine::begin_run() {
   quiesce_ = nullptr;
   horizon_left_ = 0;
   decision_no_change_ = true;
+  message_completed_ = false;
   last_phase_ = Phase::Idle;
 
   slot_ = 0;
@@ -414,6 +415,7 @@ void Engine::serve_communications() {
   }
 
   int served = 0;
+  message_completed_ = false;
   for (int proc : pending_) {
     if (served >= platform_.ncom()) break;
     const auto q = static_cast<std::size_t>(proc);
@@ -426,6 +428,7 @@ void Engine::serve_communications() {
       h.partial_slots = 0;
       if (program) h.has_program = true;
       else ++h.data_messages;
+      message_completed_ = true;
     }
     // One served slot always reduces the worker's remaining need by exactly
     // one, message completion included (the completed message leaves the
@@ -534,9 +537,10 @@ void Engine::record_slot() {
 // determined: the engine-side state machine is advanced arithmetically and
 // the scheduler is not consulted, which is sound exactly when the latched
 // Quiescence report covers every skipped slot. Event slots — where either
-// the engine-side outcome (restart, iteration completion, communication
-// progress) or the scheduler's answer (UP-gain, watched membership change,
-// horizon expiry) can change — fall back to the per-slot path.
+// the engine-side outcome (restart, iteration completion, a change of the
+// served set) or the scheduler's answer (UP-gain, watched membership
+// change, horizon expiry, a completed message) can change — fall back to
+// the per-slot path.
 // --------------------------------------------------------------------------
 
 const markov::State* Engine::prev_of_peeked() const {
@@ -591,19 +595,28 @@ void Engine::fast_forward() {
 
   if (!config_.empty()) {
     if (last_phase_ == Phase::Comm || last_phase_ == Phase::Stalled) {
-      // Comm-phase bulk advance, WhileConfigured only: under enrollment
-      // order the served set is a pure function of (enrolled states, which
-      // transfers are unfinished), so a run of slots with the same enrolled
-      // states and no transfer finishing can be applied arithmetically.
-      // Tracing needs per-slot action rows, and the re-ranked comm orders
-      // re-sort by remaining need every slot: both fall back to per-slot.
-      if (kind == Quiescence::Kind::WhileConfigured &&
-          options_.comm_order == CommOrder::Enrollment && !options_.record_trace) {
-        const long before = slot_;
-        if (jump) advance_comm_jump();
-        else advance_comm_run();
-        note_bulk_advance(telem_.bulk_runs_comm, telem_.bulk_slots_comm, before, jump);
+      // Comm-phase bulk advance: under enrollment order the served set is a
+      // pure function of (enrolled states, which transfers are unfinished),
+      // so a run of slots with the same enrolled states and no transfer
+      // finishing can be applied arithmetically. Tracing needs per-slot
+      // action rows, and the re-ranked comm orders re-sort by remaining
+      // need every slot: both fall back to per-slot.
+      if (options_.comm_order != CommOrder::Enrollment || options_.record_trace) return;
+      // UntilEvent covers mid-message progress and stalls: only a completed
+      // message changes a build input. The consult ran at this very slot,
+      // so it covers the next one only if this slot completed no message.
+      if (kind != Quiescence::Kind::WhileConfigured &&
+          (kind != Quiescence::Kind::UntilEvent || !decision_no_change_ ||
+           message_completed_)) {
+        return;
       }
+      // Enrolled-RLE jumps see only the enrolled workers; UntilEvent also
+      // stops at global events (gains), which the row walk checks.
+      const long before = slot_;
+      const bool jumped = jump && kind == Quiescence::Kind::WhileConfigured;
+      if (jumped) advance_comm_jump();
+      else advance_comm_run(kind);
+      note_bulk_advance(telem_.bulk_runs_comm, telem_.bulk_slots_comm, before, jumped);
       return;
     }
     // Compute-phase bulk advance. Only valid when the just-processed slot
@@ -720,10 +733,11 @@ void Engine::apply_comm_progress(std::size_t q, long slots) {
   }
 }
 
-void Engine::advance_comm_run() {
+void Engine::advance_comm_run(Quiescence::Kind kind) {
   // The just-processed slot may have finished the last transfer; the next
   // slot then belongs to the compute phase, not to a comm run.
   if (comm_phase_done()) return;
+  const bool latched = kind != Quiescence::Kind::WhileConfigured;
   const auto assigns = config_.assignments();
   // The reference pattern: the enrolled states of the just-processed slot.
   // Copied out of block_ because a refill during the run overwrites it.
@@ -735,7 +749,9 @@ void Engine::advance_comm_run() {
   // Who gets served while the pattern holds (first ncom pending workers in
   // enrollment order), and for how many slots the pattern can hold: until
   // some served transfer finishes (the served set then changes), an
-  // enrolled state changes, or the cap.
+  // enrolled state changes, or the cap. A latched (UntilEvent) answer also
+  // ends with the first completed message, which changes a build input
+  // word; the completing slot itself is still covered.
   pending_.clear();
   long serveable = 0;
   long finish_horizon = std::numeric_limits<long>::max();
@@ -745,7 +761,13 @@ void Engine::advance_comm_run() {
     if (comm_remaining_buf_[q] == 0) continue;
     if (serveable < platform_.ncom()) {
       pending_.push_back(assigns[i].proc);
-      finish_horizon = std::min(finish_horizon, comm_remaining_buf_[q]);
+      long until = comm_remaining_buf_[q];
+      if (latched) {
+        const auto& h = holdings_[q];
+        const bool program = !h.has_program && app_.t_prog > 0;
+        until = (program ? app_.t_prog : app_.t_data) - h.partial_slots;
+      }
+      finish_horizon = std::min(finish_horizon, until);
       ++serveable;
     }
   }
@@ -753,7 +775,16 @@ void Engine::advance_comm_run() {
   long run = 0;
   while (slot_ < bound_ && run < finish_horizon) {
     if (block_pos_ == block_filled_) refill_block();
+    const auto pos = static_cast<std::size_t>(block_pos_);
     const markov::State* row = peek_row();
+    // Scheduler events, exactly as in advance_configured_run.
+    if (latched) {
+      if (horizon_left_ <= 0) break;
+      if (digest_up_gain_[pos]) break;
+      if (digest_up_changed_[pos] && watched_membership_changed(prev_of_peeked(), row)) {
+        break;
+      }
+    }
     bool pattern_holds = true;
     for (std::size_t i = 0; i < assigns.size(); ++i) {
       if (row[static_cast<std::size_t>(assigns[i].proc)] != comm_ref_[i]) {
@@ -762,13 +793,14 @@ void Engine::advance_comm_run() {
       }
     }
     if (!pattern_holds) break;
-    if (digest_new_down_[static_cast<std::size_t>(block_pos_)]) {
+    if (digest_new_down_[pos]) {
       crash_down_in_row(row);  // un-enrolled only: enrolled states match the
                                // reference, which had no DOWN worker
     }
     ++block_pos_;
     ++slot_;
     ++run;
+    if (latched) --horizon_left_;
   }
   if (run == 0) return;
   if (pending_.empty()) {

@@ -72,10 +72,14 @@ struct Quiescence {
     ///   * a processor JOINS the UP set (new placement option),
     ///   * a `watched` processor's UP-membership changes,
     ///   * an enrolled processor goes DOWN (engine-side restart),
-    ///   * communication progress or an iteration boundary (engine-side),
+    ///   * a served transfer COMPLETES a program or data message, or an
+    ///     iteration boundary (engine-side),
     ///   * more than `horizon` slots elapse.
     /// UP-set *shrinks* outside `watched` are guaranteed irrelevant (see
-    /// DESIGN.md §8 for why this holds for the incremental builder).
+    /// DESIGN.md §8 for why this holds for the incremental builder). So are
+    /// mid-message transfer progress and stalled comm slots: a report of
+    /// this kind during a communication phase promises that the answer
+    /// survives them (DESIGN.md §8, "Comm-phase quiescence").
     UntilEvent,
     /// "No change" is guaranteed for as long as the engine keeps the current
     /// configuration installed, whatever happens to states or holdings

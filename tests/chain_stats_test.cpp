@@ -167,6 +167,59 @@ TEST(ChainStatsStore, SurvivalTerminalZeroCapsTheTable) {
   EXPECT_EQ(surv.published(), n);
 }
 
+// The monotone prefixes behind the proactive comm-phase quiescence guard
+// (DESIGN.md §8): recorded exactly as entries are appended.
+TEST(ChainStatsStore, SurvivalRecordsItsMonotonePrefix) {
+  ChainStatsStore store(1e-9);
+
+  // A failing chain decays strictly: monotone through everything published,
+  // unknown (false) past it.
+  markov::ChainSurvival& decaying = store.survival(store.intern(ur_of(0.9, 0.9)));
+  (void)decaying.grow_to(600);
+  EXPECT_TRUE(decaying.monotone_through(600));
+  EXPECT_FALSE(decaying.monotone_through(601));
+
+  // A failure-free chain's u + r drifts upward by an ulp in float64: the
+  // prefix ends just before the first rise and never recovers.
+  const markov::TransitionMatrix ff({{{0.9, 0.1, 0.0}, {1.0 - 0.9081, 0.9081, 0.0},
+                                      {0.5, 0.5, 0.0}}});
+  markov::ChainSurvival& drifting = store.survival(store.intern(markov::ur_submatrix(ff)));
+  (void)drifting.grow_to(64);
+  long rise = -1;
+  for (long t = 1; t <= 64 && rise < 0; ++t) {
+    if (drifting.at(t) > drifting.at(t - 1)) rise = t;
+  }
+  ASSERT_GT(rise, 0);
+  EXPECT_TRUE(drifting.monotone_through(rise - 1));
+  EXPECT_FALSE(drifting.monotone_through(rise));
+  (void)drifting.grow_to(4096);
+  EXPECT_FALSE(drifting.monotone_through(rise));
+
+  // Past a terminal exact zero every depth reads that zero.
+  markov::ChainSurvival& flaky = store.survival(store.intern(ur_of(0.10, 0.10)));
+  EXPECT_EQ(flaky.grow_to(5'000'000), 0.0);
+  EXPECT_TRUE(flaky.monotone_through(10'000'000));
+}
+
+TEST(CoupledStats, RecordsItsMonotoneExpectedTimePrefix) {
+  markov::CoupledStats normal;
+  normal.p_plus = 0.97;
+  normal.ec = 1.5;
+  EXPECT_FALSE(normal.expected_time_monotone_through(1));  // nothing memoized yet
+  (void)normal.expected_time(300);
+  EXPECT_TRUE(normal.expected_time_monotone_through(300));
+  EXPECT_FALSE(normal.expected_time_monotone_through(301));
+
+  // A decreasing table (negative gap) is caught at its first drop, exactly.
+  markov::CoupledStats falling;
+  falling.p_plus = 1.0;
+  falling.ec = -0.25;
+  (void)falling.expected_time(10);
+  EXPECT_TRUE(falling.expected_time_monotone_through(1));
+  EXPECT_FALSE(falling.expected_time_monotone_through(2));
+  EXPECT_FALSE(falling.expected_time_monotone_through(10));
+}
+
 // --------------------------------------------------- estimator as a view ----
 
 TEST(ChainStatsView, HomogeneousKSubsetsHitOneMultisetEntry) {

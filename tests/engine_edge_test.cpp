@@ -5,6 +5,11 @@
 // equivalence with the per-slot reference).
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "platform/availability.hpp"
 #include "platform/scenario.hpp"
 #include "sched/estimator.hpp"
@@ -388,6 +393,123 @@ TEST(EngineEdge, FastForwardMatchesPerSlotOnScriptedRestarts) {
       ASSERT_TRUE(traces[0][t][q].state == traces[1][t][q].state &&
                   traces[0][t][q].action == traces[1][t][q].action)
           << "slot " << t << " proc " << q;
+    }
+  }
+}
+
+/// Pins one configuration and answers every consult with the same
+/// UntilEvent report: the engine may then skip exactly the consults the
+/// comm-phase contract covers.
+class UntilEventPinScheduler final : public sim::Scheduler {
+ public:
+  UntilEventPinScheduler(model::Configuration config, std::vector<int> watched,
+                         long horizon)
+      : config_(std::move(config)) {
+    q_.kind = sim::Quiescence::Kind::UntilEvent;
+    q_.watched = std::move(watched);
+    q_.horizon = horizon;
+  }
+  std::optional<model::Configuration> decide(const sim::SchedulerView& view) override {
+    if (view.has_config()) return std::nullopt;
+    return config_;
+  }
+  [[nodiscard]] const sim::Quiescence& quiescence() const override { return q_; }
+  [[nodiscard]] std::string_view name() const override { return "until-event-pin"; }
+
+ private:
+  model::Configuration config_;
+  sim::Quiescence q_;
+};
+
+TEST(EngineEdge, UntilEventCommPhaseConsultsOnlyAtEvents) {
+  // ncom = 1 serves P0 then P1, each a 4-slot program and one 2-slot data
+  // message; speeds 2 make W = 2. Under UntilEvent the engine consults at
+  // per-slot steps only, and a comm run after a no-switch consult ends at
+  // the first completed message (that slot included), an enrolled-state
+  // change or a UP gain. P2 is never enrolled. The table is the report with
+  // no watched worker and no horizon; watching P2 adds one event, its UP
+  // exit at slot 2, and a one-slot horizon ends every run after one slot.
+  //
+  //   slot  P0 P1 P2  what happens                     consulted because
+  //   0     U  U  U   consult 1 installs; P0 prog 1/4  first slot
+  //   1     U  U  U   consult 2; P0 prog 2/4           the install switched
+  //   2-3   U  U  R   run; P0 program done at 3        (P2 leaving UP at 2 is
+  //                                                    no event: not watched)
+  //   4     U  U  R   consult 3; P0 data 1/2           message completed at 3
+  //   5     U  U  R   run; P0 data done
+  //   6     U  U  R   consult 4; P1 prog 1/4           message completed at 5
+  //   7     U  R  R   consult 5; stalled               enrolled-state change
+  //   8     U  R  R   run (stalled)
+  //   9     U  R  U   consult 6; stalled               P2 joins UP
+  //   10    U  U  U   consult 7; P1 prog 2/4           P1 joins UP
+  //   11-12 U  U  U   run; P1 program done at 12
+  //   13    U  U  U   consult 8; P1 data 1/2           message completed at 12
+  //   14    U  U  U   run; P1 data done
+  //   15    U  U  U   consult 9; compute 1/2           message completed at 14
+  //   16    U  U  U   run; compute 2/2, iteration done
+  const auto row = [](State a, State b, State c) { return std::vector<State>{a, b, c}; };
+  const State U = State::Up;
+  const State R = State::Reclaimed;
+  std::vector<std::vector<State>> script = {row(U, U, U), row(U, U, U)};
+  for (int t = 2; t <= 6; ++t) script.push_back(row(U, U, R));
+  script.push_back(row(U, R, R));
+  script.push_back(row(U, R, R));
+  script.push_back(row(U, R, U));
+  for (int t = 10; t <= 16; ++t) script.push_back(row(U, U, U));
+
+  auto plat = make_platform({2, 2, 2}, 1);
+  model::Application app;
+  app.num_tasks = 2;
+  app.t_prog = 4;
+  app.t_data = 2;
+  app.iterations = 1;
+
+  struct Case {
+    std::vector<int> watched;
+    long horizon;
+    long consults;   // == per-slot steps
+    long comm_runs;  // bulk comm advances
+    long comm_slots;  // slots they covered
+  };
+  const Case cases[] = {
+      {{}, sim::Quiescence::kUnbounded, 9, 5, 7},  // the table above
+      {{2}, sim::Quiescence::kUnbounded, 10, 5, 6},
+      // Runs at 2, 5, 8, 11, 14; the steps at 3 and 12 complete programs.
+      {{}, 1, 11, 5, 5},
+  };
+  for (long block : {64L, 3L}) {  // 3: refills inside the runs
+    for (const Case& c : cases) {
+      sim::SimulationResult reference;
+      for (bool ff : {false, true}) {
+        SCOPED_TRACE("avail_block " + std::to_string(block) + " / watched " +
+                     std::to_string(c.watched.size()) + " / horizon " +
+                     std::to_string(c.horizon) + (ff ? " / ff" : " / per-slot"));
+        platform::FixedAvailability avail(script);
+        UntilEventPinScheduler sched(model::Configuration({{0, 1}, {1, 1}}), c.watched,
+                                     c.horizon);
+        sim::EngineOptions opts;
+        opts.avail_block = block;
+        opts.fast_forward = ff;
+        sim::Engine engine(plat, app, avail, sched, opts);
+        const auto r = engine.run();
+        ASSERT_TRUE(r.success);
+        ASSERT_EQ(r.iterations.size(), 1u);
+        EXPECT_EQ(r.makespan, 17);
+        EXPECT_EQ(r.iterations[0].comm_slots, 12);
+        EXPECT_EQ(r.iterations[0].stalled_slots, 3);
+        EXPECT_EQ(r.iterations[0].compute_slots, 2);
+        if (!ff) {
+          EXPECT_EQ(engine.consults(), 17);
+          reference = r;
+          continue;
+        }
+        EXPECT_EQ(engine.consults(), c.consults);
+        EXPECT_EQ(engine.telemetry().per_slot_steps, c.consults);
+        EXPECT_EQ(engine.telemetry().bulk_runs_comm, c.comm_runs);
+        EXPECT_EQ(engine.telemetry().bulk_slots_comm, c.comm_slots);
+        EXPECT_EQ(engine.telemetry().bulk_slots_configured, 1);
+        EXPECT_EQ(r.iterations[0].end_slot, reference.iterations[0].end_slot);
+      }
     }
   }
 }

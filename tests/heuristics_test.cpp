@@ -4,8 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
+#include <optional>
 #include <random>
 #include <set>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "platform/availability.hpp"
 #include "platform/scenario.hpp"
@@ -564,6 +569,185 @@ TEST(Proactive, CachingDoesNotChangeSchedules) {
     }
     SCOPED_TRACE(std::string(to_string(crit)) + "-" + std::string(to_string(rule)));
     expect_same_result(results[0], results[1]);
+  }
+}
+
+// ------------------------------------------- comm-phase quiescence ----
+// A proactive "no switch" answer covers mid-message transfer progress
+// (DESIGN.md §8) because the installed configuration's criterion score can
+// only rise as its remaining needs fall — provided the estimator tables it
+// reads are monotone over the range used, which the guard checks exactly.
+
+/// A failure-free chain (DOWN unreachable) whose float64 survival table
+/// u + r is not monotone: it rises by an ulp within the first few depths.
+markov::TransitionMatrix drifting_chain() {
+  return markov::TransitionMatrix(
+      {{{0.9, 0.1, 0.0}, {1.0 - 0.9081, 0.9081, 0.0}, {0.5, 0.5, 0.0}}});
+}
+
+/// First depth t at which processor q's survival table rises, or -1.
+long first_survival_rise(const Estimator& est, int q) {
+  for (long t = 1; t <= 64; ++t) {
+    if (est.p_no_down(q, t) > est.p_no_down(q, t - 1)) return t;
+  }
+  return -1;
+}
+
+TEST(CommQuiescence, CommProgressNeverLowersTheCurrentScore) {
+  std::mt19937_64 rng(2024);
+  long guarded = 0;
+  long refused = 0;
+  for (std::uint64_t s = 0; s < 30; ++s) {
+    platform::ScenarioParams params;
+    params.m = 1 + static_cast<int>(rng() % 8);
+    params.ncom = 1 + static_cast<int>(rng() % 3);
+    params.wmin = 1 + static_cast<long>(rng() % 3);
+    params.p = 8;
+    params.seed = s;
+    auto scenario = platform::make_scenario(params);
+    if (s % 3 == 2) {
+      // Mix in failure-free chains whose survival tables drift upward.
+      std::vector<platform::Processor> procs;
+      for (int q = 0; q < scenario.platform.size(); ++q) {
+        procs.push_back(scenario.platform.proc(q));
+        if (q % 2 == 0) procs.back().availability = drifting_chain();
+      }
+      scenario.platform = platform::Platform(std::move(procs), params.ncom);
+    }
+    const auto& app = scenario.app;
+    const Estimator est(scenario.platform, app, 1e-6);
+    const int p = scenario.platform.size();
+
+    for (int rep = 0; rep < 25; ++rep) {
+      // A random enrolled set, each worker's need somewhere inside a fresh
+      // transfer of its program and up to m data messages.
+      std::vector<int> set;
+      std::vector<Estimator::CommNeed> needs;
+      for (int q = 0; q < p; ++q) {
+        if (rng() % 2 == 0 && static_cast<int>(set.size()) < app.num_tasks) {
+          set.push_back(q);
+          const auto full =
+              static_cast<std::uint64_t>(app.t_prog + app.num_tasks * app.t_data);
+          needs.push_back({q, static_cast<long>(rng() % (full + 1))});
+        }
+      }
+      if (set.empty()) continue;
+      const long w = 1 + static_cast<long>(rng() % 60);
+      const long elapsed = static_cast<long>(rng() % 100);
+
+      const IterationEstimate first = est.evaluate(needs, set, w);
+      const bool monotone = est.comm_progress_monotone(needs, set);
+      ++(monotone ? guarded : refused);
+      double prev[3];
+      const Criterion crits[3] = {Criterion::P, Criterion::E, Criterion::Y};
+      for (int c = 0; c < 3; ++c) prev[c] = criterion_score(crits[c], first, elapsed);
+
+      // Serve the first ncom unfinished workers in enrollment order, some
+      // slots stalled (a served worker RECLAIMED), until every need is met.
+      for (;;) {
+        int served = 0;
+        bool pending = false;
+        for (auto& n : needs) {
+          if (n.slots == 0) continue;
+          pending = true;
+          if (served < scenario.platform.ncom() && rng() % 4 != 0) {
+            --n.slots;
+            ++served;
+          }
+        }
+        if (!pending) break;
+        const IterationEstimate now = est.evaluate(needs, set, w);
+        if (!monotone) continue;
+        for (int c = 0; c < 3; ++c) {
+          const double score = criterion_score(crits[c], now, elapsed);
+          ASSERT_GE(score, prev[c]) << "scenario " << s << " rep " << rep << " criterion "
+                                    << to_string(crits[c]);
+          prev[c] = score;
+        }
+      }
+    }
+  }
+  // Both sides of the guard were exercised: the paper's chains pass it,
+  // and the drifting failure-free chains are refused.
+  EXPECT_GT(guarded, 100);
+  EXPECT_GT(refused, 0);
+}
+
+/// Forwards to a proactive scheduler and checks every comm-phase "no
+/// switch" report whose survival depth reaches the first drifting entry.
+class CommReportProbe final : public sim::Scheduler {
+ public:
+  CommReportProbe(sim::Scheduler& inner, const Estimator& est, long rise)
+      : inner_(inner), est_(est), rise_(rise) {}
+
+  std::optional<model::Configuration> decide(const sim::SchedulerView& view) override {
+    auto out = inner_.decide(view);
+    if (!view.has_config() || (out && *out != *view.config)) return out;
+    needs_.clear();
+    int up_capacity = 0;
+    for (int q = 0; q < view.platform->size(); ++q) {
+      if (view.states[static_cast<std::size_t>(q)] == State::Up) {
+        up_capacity += view.platform->proc(q).max_tasks;
+      }
+    }
+    for (const auto& a : view.config->assignments()) {
+      needs_.push_back({a.proc, view.comm_remaining[static_cast<std::size_t>(a.proc)]});
+    }
+    const double e_comm = est_.expected_comm_time(needs_);
+    // An infeasible candidate is stable whatever the comm progress does.
+    if (e_comm <= 0.0 || up_capacity < view.app->num_tasks) return out;
+    if (static_cast<long>(std::ceil(e_comm)) < rise_) return out;
+    ++deep_reports_;
+    if (inner_.quiescence().kind != sim::Quiescence::Kind::EverySlot) ++deep_quiet_;
+    return out;
+  }
+  [[nodiscard]] const sim::Quiescence& quiescence() const override {
+    return inner_.quiescence();
+  }
+  [[nodiscard]] std::string_view name() const override { return inner_.name(); }
+
+  long deep_reports_ = 0;  ///< comm-phase no-switch consults past the rise
+  long deep_quiet_ = 0;    ///< ... of which did not report EverySlot
+
+ private:
+  sim::Scheduler& inner_;
+  const Estimator& est_;
+  long rise_;
+  std::vector<Estimator::CommNeed> needs_;
+};
+
+TEST(CommQuiescence, NonMonotoneSurvivalReportsEverySlotInCommPhase) {
+  std::vector<platform::Processor> procs(4);
+  for (int q = 0; q < 4; ++q) {
+    procs[static_cast<std::size_t>(q)].speed = 1 + q;
+    procs[static_cast<std::size_t>(q)].max_tasks = 2;
+    procs[static_cast<std::size_t>(q)].availability = drifting_chain();
+  }
+  const platform::Platform plat(std::move(procs), 1);
+  model::Application app = small_app(4, /*t_prog=*/6, /*t_data=*/3);
+  app.iterations = 3;
+  const Estimator est(plat, app, 1e-6);
+  const long rise = first_survival_rise(est, 0);
+  ASSERT_GT(rise, 0) << "the chain's survival table must drift upward";
+
+  for (auto crit : {Criterion::P, Criterion::E, Criterion::Y}) {
+    for (auto rule : {Rule::IP, Rule::IE, Rule::IAY}) {
+      SCOPED_TRACE(std::string(to_string(crit)) + "-" + std::string(to_string(rule)));
+      sim::SimulationResult results[2];
+      for (bool ff : {false, true}) {
+        ProactiveScheduler inner(crit, rule, est);
+        CommReportProbe probe(inner, est, rise);
+        platform::MarkovAvailability avail(plat, 31);
+        sim::EngineOptions opts;
+        opts.slot_cap = 100'000;
+        opts.fast_forward = ff;
+        sim::Engine engine(plat, app, avail, probe, opts);
+        results[ff ? 1 : 0] = engine.run();
+        EXPECT_GT(probe.deep_reports_, 0);
+        EXPECT_EQ(probe.deep_quiet_, 0);
+      }
+      expect_same_result(results[0], results[1]);
+    }
   }
 }
 

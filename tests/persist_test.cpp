@@ -179,11 +179,47 @@ TEST(PersistentStore, SurvivalServedFromMappingAndResumesExactly) {
   for (long t = 0; t < kMapped; ++t) {
     EXPECT_EQ(surv.at(t), ref_surv.at(t)) << "t=" << t;
   }
+  // The seed records the mapping's monotone prefix (here all of it).
+  EXPECT_TRUE(surv.monotone_through(kMapped - 1));
+  EXPECT_FALSE(surv.monotone_through(kMapped));
   // Growth past the mapped frontier resumes the exact advance sequence.
   EXPECT_EQ(surv.grow_to(kDeep - 1), ref_surv.at(kDeep - 1));
+  EXPECT_TRUE(surv.monotone_through(kDeep - 1));
   for (long t = kMapped; t < kDeep; ++t) {
     EXPECT_EQ(surv.at(t), ref_surv.at(t)) << "t=" << t;
   }
+}
+
+TEST(PersistentStore, SeededSurvivalKeepsANonMonotonePrefixShort) {
+  // A failure-free chain whose float64 survival table rises by an ulp: a
+  // table seeded from disk must report the same monotone prefix as one
+  // grown in memory.
+  const std::string dir = fresh_dir("drift");
+  const markov::TransitionMatrix ff({{{0.9, 0.1, 0.0}, {1.0 - 0.9081, 0.9081, 0.0},
+                                      {0.5, 0.5, 0.0}}});
+  const auto m = markov::ur_submatrix(ff);
+  ChainStatsStore ref(kEps);
+  markov::ChainSurvival& ref_surv = ref.survival(ref.intern(m));
+  (void)ref_surv.grow_to(63);
+  long rise = -1;
+  for (long t = 1; t < 64 && rise < 0; ++t) {
+    if (ref_surv.at(t) > ref_surv.at(t - 1)) rise = t;
+  }
+  ASSERT_GT(rise, 0);
+  {
+    auto persist = std::make_shared<PersistentChainStats>(dir, kEps);
+    ChainStatsStore store(kEps, persist);
+    (void)store.survival(store.intern(m)).grow_to(63);
+    EXPECT_GT(persist->flush_from(store), 0u);
+  }
+  auto persist = std::make_shared<PersistentChainStats>(dir, kEps);
+  ChainStatsStore warm(kEps, persist);
+  markov::ChainSurvival& surv = warm.survival(warm.intern(m));
+  ASSERT_EQ(surv.published(), 64);
+  EXPECT_TRUE(surv.monotone_through(rise - 1));
+  EXPECT_FALSE(surv.monotone_through(rise));
+  (void)surv.grow_to(200);  // growth past the mapping cannot repair it
+  EXPECT_FALSE(surv.monotone_through(rise));
 }
 
 TEST(PersistentStore, FlushIsIncrementalAndLongestSurvivalWins) {

@@ -7,18 +7,22 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/api.hpp"
 #include "expt/runner.hpp"
 #include "platform/cyclostationary.hpp"
+#include "platform/realization.hpp"
 #include "platform/replay.hpp"
 #include "platform/scenario.hpp"
 #include "scen/scen.hpp"
 #include "sched/registry.hpp"
+#include "sim/engine.hpp"
 
 namespace tcgrid {
 namespace {
@@ -654,6 +658,120 @@ TEST(FastForward, UntracedRunsMatchPerSlotReference) {
         expect_identical_results(a, b);
         expect_slot_accounting(a);
       }
+    }
+  }
+}
+
+/// Forwards to a scheduler and records the largest configuration it saw
+/// installed, so a test can check that its runs reach the shape it needs.
+class EnrollmentProbe final : public sim::Scheduler {
+ public:
+  explicit EnrollmentProbe(sim::Scheduler& inner) : inner_(inner) {}
+  std::optional<model::Configuration> decide(const sim::SchedulerView& view) override {
+    if (view.has_config()) {
+      max_enrolled_ = std::max(max_enrolled_, static_cast<int>(view.config->size()));
+    }
+    return inner_.decide(view);
+  }
+  [[nodiscard]] const sim::Quiescence& quiescence() const override {
+    return inner_.quiescence();
+  }
+  [[nodiscard]] std::string_view name() const override { return inner_.name(); }
+
+  int max_enrolled_ = 0;
+
+ private:
+  sim::Scheduler& inner_;
+};
+
+// Comm-phase quiescence (DESIGN.md §8): a proactive "no switch" answer
+// covers mid-message transfer progress and stalled slots, so the engine
+// bulk-advances comm phases under UntilEvent, stopping at the first
+// completed message. Comm-heavy scenarios (t_prog = 5 wmin = 10, mu_q = 2
+// so a master serving ncom <= 2 workers serves fewer than are enrolled,
+// Markov chains with RECLAIMED flaps) for all 12 C-H pairs on the paper
+// and clusters platforms, against live and realization-replay sources:
+// every result must equal the per-slot reference bit for bit, and non-IY
+// runs must actually take the new path. The slot cap keeps the per-slot
+// oracle cheap; runs it cuts short still compare their partial counters.
+TEST(FastForward, CommHeavyProactiveRunsMatchPerSlotReference) {
+  std::vector<std::string> proactive;
+  for (const auto& name : sched::all_heuristic_names()) {
+    if (name.find('-') != std::string::npos) proactive.push_back(name);
+  }
+  ASSERT_EQ(proactive.size(), 12u);
+
+  const auto availability = scen::availability_family("markov");
+  for (const char* plat : {"paper", "clusters"}) {
+    for (int ncom : {1, 2}) {
+      platform::ScenarioParams params;
+      params.m = 5;
+      params.ncom = ncom;
+      params.wmin = 2;
+      params.iterations = 2;
+      params.seed = 41 + static_cast<std::uint64_t>(ncom);
+      auto scenario = scen::platform_family(plat)->make(params);
+      ASSERT_GE(scenario.app.t_prog, 5);
+      // mu_q = 2 spreads the m = 5 tasks over at least three workers, more
+      // than the master serves at once.
+      std::vector<platform::Processor> procs;
+      for (int q = 0; q < scenario.platform.size(); ++q) {
+        procs.push_back(scenario.platform.proc(q));
+        procs.back().max_tasks = 2;
+      }
+      scenario.platform = platform::Platform(std::move(procs), ncom);
+      // Separate estimators: the oracle never shares a table or memo entry
+      // with the fast-forwarded runs.
+      const sched::Estimator oracle_est(scenario.platform, scenario.app, 1e-6);
+      const sched::Estimator fast_est(scenario.platform, scenario.app, 1e-6);
+      sim::EngineOptions slow_opts;
+      slow_opts.slot_cap = 5'000;
+      slow_opts.fast_forward = false;
+      const sim::EngineOptions fast_opts{.slot_cap = 5'000};
+
+      long stalled = 0;  // comm slots frozen by RECLAIMED flaps
+      for (const auto& heuristic : proactive) {
+        long comm_bulk = 0;
+        int max_enrolled = 0;
+        for (int trial = 0; trial < 2; ++trial) {
+          SCOPED_TRACE(std::string(plat) + " / ncom " + std::to_string(ncom) + " / " +
+                       heuristic + " / trial " + std::to_string(trial));
+          const std::uint64_t seed = expt::trial_seed(scenario, trial);
+          const auto init = platform::InitialStates::Stationary;
+
+          auto slow_src = availability->make_source(scenario.platform, seed, init);
+          auto slow_sched = sched::make_scheduler(heuristic, oracle_est);
+          sim::Engine slow(scenario.platform, scenario.app, *slow_src, *slow_sched,
+                           slow_opts);
+          const auto ref = slow.run();
+
+          auto live_src = availability->make_source(scenario.platform, seed, init);
+          auto live_sched = sched::make_scheduler(heuristic, fast_est);
+          EnrollmentProbe probe(*live_sched);
+          sim::Engine live(scenario.platform, scenario.app, *live_src, probe, fast_opts);
+          expect_identical_results(live.run(), ref);
+          max_enrolled = std::max(max_enrolled, probe.max_enrolled_);
+          expect_slot_accounting(ref);
+          for (const auto& it : ref.iterations) stalled += it.stalled_slots;
+
+          platform::Realization real(
+              availability->make_source(scenario.platform, seed, init));
+          auto replay_sched = sched::make_scheduler(heuristic, fast_est);
+          sim::Engine replay(scenario.platform, scenario.app, real, *replay_sched,
+                             fast_opts);
+          expect_identical_results(replay.run(), ref);
+
+          comm_bulk += live.telemetry().bulk_slots_comm +
+                       replay.telemetry().bulk_slots_comm;
+        }
+        EXPECT_GT(max_enrolled, ncom) << plat << " / ncom " << ncom << " / " << heuristic;
+        if (heuristic.find("IY") == std::string::npos) {
+          // Proactive consults used to be taken at every comm slot: no
+          // covered comm run existed outside WhileConfigured.
+          EXPECT_GT(comm_bulk, 0) << plat << " / ncom " << ncom << " / " << heuristic;
+        }
+      }
+      EXPECT_GT(stalled, 0) << plat << " / ncom " << ncom;
     }
   }
 }

@@ -1,11 +1,10 @@
 // The ONE options struct of the experiment facade.
 //
-// Before the facade existed, the same knobs were triplicated across
-// sim::EngineOptions (slot cap, comm order, tracing), expt::RunOptions
-// (slot cap again, estimator eps, initial states) and expt::SweepConfig
-// (slot cap and eps a third time, plus threads and the master seed).
-// api::Options unifies them; the legacy structs are derived from it at the
-// point of use and remain only for source compatibility.
+// Every engine, realization, estimator and execution knob of a sweep lives
+// here; Session derives the engine's view (sim::EngineOptions) at the point
+// of use. expt::RunOptions is not an alias of these options: it is the
+// minimal input of expt::run_trial, the independent single-run oracle the
+// Session equivalence tests compare against.
 #pragma once
 
 #include <cstddef>
@@ -28,13 +27,6 @@ struct Options {
                               ///< results are bit-identical either way —
                               ///< false forces the legacy per-slot loop
                               ///< (ablation baseline)
-  int trial_batch = 1;        ///< lockstep trial-batch width (DESIGN.md §13):
-                              ///< Session::run replays this many trials of a
-                              ///< (scenario, heuristic) cell side by side
-                              ///< (sim::TrialBatch). 1 = plain sequential
-                              ///< executor; results are bit-identical for
-                              ///< every width (batch_test + bench digest
-                              ///< gate). Clamped to the spec's trial count.
 
   // --- shared availability realizations (DESIGN.md §9) ---------------------
   /// Peak bytes one materialized availability realization may occupy during
@@ -98,7 +90,6 @@ struct Options {
     e.comm_order = comm_order;
     e.avail_block = avail_block;
     e.fast_forward = fast_forward;
-    e.trial_batch = trial_batch;
     return e;
   }
 };

@@ -20,7 +20,7 @@
 //   * ResultSink::consume and the progress callback may be invoked from
 //     worker threads but are serialized under an internal mutex: no two
 //     calls ever run concurrently, so unsynchronized sink/callback state is
-//     safe. (Legacy expt::run_sweep inherits this guarantee.)
+//     safe.
 //   * run_trial / run_custom / scenario_for may be called from any ONE
 //     thread at a time; concurrent calls into the same Session from
 //     different user threads are serialized by the same per-thread caching
@@ -106,19 +106,6 @@ class Session {
   /// unit arrive CONTIGUOUSLY, in the spec's heuristic order. Across units
   /// the order is completion order (thread-scheduling dependent) — sinks
   /// needing global order sort on the row coordinates (see sink.hpp).
-  ///
-  /// Lockstep trial batching (DESIGN.md §13): with options.trial_batch > 1
-  /// the sweep re-chunks to (scenario, trial-range) work items of up to B
-  /// trials and replays each heuristic over the whole range side by side
-  /// (sim::TrialBatch) — one batchwide availability-horizon pass instead of
-  /// B independent event scans, with the shared estimator caches staying
-  /// hot across lanes. Results, row contents and the RunStats unit
-  /// accounting are bit-identical to trial_batch == 1 (enforced by
-  /// tests/batch_test.cpp and the bench_sweep digest gate); rows of a
-  /// range arrive contiguously in trial-then-heuristic order, i.e. as the
-  /// same B consecutive (scenario, trial) units the sequential executor
-  /// would emit. Per-lane budget overflow falls back to live generation
-  /// for that trial alone, exactly mirroring the sequential fallback.
   ///
   /// Sweeps populate the calling worker threads' scenario/estimator caches
   /// (that is what keeps estimators warm across the trials of a scenario);
@@ -334,12 +321,6 @@ class Session {
       const Options& options, platform::Realization& realization,
       const platform::Scenario& scenario, const sched::Estimator& estimator,
       std::string_view heuristic, int trial);
-
-  /// The lockstep sweep executor behind run() when options.trial_batch > 1
-  /// (see run()'s §13 note for semantics; spec is already validated).
-  RunStats run_batched(const ExperimentSpec& spec,
-                       const std::vector<ResultSink*>& sinks,
-                       const Progress& progress, const std::atomic<bool>* stop);
 
   Options options_;
 

@@ -68,10 +68,6 @@ void ExperimentSpec::validate() const {
     // task, which terminates the process (see util/thread_pool.hpp).
     throw std::invalid_argument("ExperimentSpec: avail_block must be >= 1");
   }
-  if (options.trial_batch <= 0) {
-    // Same rationale: fail before any worker constructs an engine.
-    throw std::invalid_argument("ExperimentSpec: trial_batch must be >= 1");
-  }
   if (options.eps <= 0.0) {
     throw std::invalid_argument("ExperimentSpec: eps must be > 0");
   }

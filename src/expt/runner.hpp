@@ -17,7 +17,6 @@ namespace tcgrid::expt {
 
 struct RunOptions {
   long slot_cap = 1'000'000;  ///< paper's failure threshold
-  double eps = 1e-6;          ///< estimator precision
   platform::InitialStates init = platform::InitialStates::Stationary;
 };
 

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "api/session.hpp"
-
 namespace tcgrid::expt {
 
 int SweepResults::heuristic_index(const std::string& name) const {
@@ -19,35 +17,6 @@ int SweepResults::try_heuristic_index(const std::string& name) const noexcept {
     if (heuristics[i] == name) return static_cast<int>(i);
   }
   return -1;
-}
-
-api::ExperimentSpec to_spec(const SweepConfig& config) {
-  api::ExperimentSpec spec;
-  spec.grid.ms = config.ms;
-  spec.grid.ncoms = config.ncoms;
-  spec.grid.wmins = config.wmins;
-  spec.grid.scenarios_per_cell = config.scenarios_per_cell;
-  spec.grid.p = config.p;
-  spec.grid.iterations = config.iterations;
-  spec.heuristics = config.heuristics;
-  spec.trials = config.trials;
-  spec.options.slot_cap = config.slot_cap;
-  spec.options.eps = config.eps;
-  spec.options.seed = config.seed;
-  spec.options.threads = config.threads;
-  return spec;
-}
-
-std::vector<platform::ScenarioParams> scenario_grid(const SweepConfig& c) {
-  return to_spec(c).scenarios();
-}
-
-SweepResults run_sweep(const SweepConfig& config,
-                       const std::function<void(std::size_t, std::size_t)>& progress) {
-  api::Session session;
-  api::AggregateSink aggregate;
-  session.run(to_spec(config), {&aggregate}, progress);
-  return std::move(aggregate).take();
 }
 
 }  // namespace tcgrid::expt

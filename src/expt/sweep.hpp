@@ -1,48 +1,19 @@
-// The factorial experiment sweep of §VII-A, parallelized over
-// (scenario, trial) units (trial-major, shared availability realizations —
-// DESIGN.md §9).
+// The aggregated outcomes of a factorial experiment sweep (§VII-A).
 //
 // The paper's full space: m in {5,10} x ncom in {5,10,20} x wmin in 1..10,
-// 10 random scenarios per cell, 10 trials per scenario. Bench binaries run
-// a structurally identical reduced sweep by default (see DESIGN.md §2) and
-// accept --full for the paper's exact scale.
-//
-// COMPATIBILITY ADAPTER: run_sweep is now a thin wrapper over the api::
-// facade (api::Session streaming into an api::AggregateSink). It produces
-// byte-identical results to the historical implementation. New code should
-// prefer api::Session directly — it streams outcomes to pluggable sinks
-// instead of materializing the outcomes[h][scenario][trial] tensor.
+// 10 random scenarios per cell, 10 trials per scenario. Sweeps are described
+// by api::ExperimentSpec and run by api::Session; api::AggregateSink folds
+// the streamed rows into the SweepResults tensor below for the paper-style
+// reports (expt/report.hpp).
 #pragma once
 
-#include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "expt/metrics.hpp"
-#include "expt/runner.hpp"
 #include "platform/scenario.hpp"
 
-namespace tcgrid::api {
-struct ExperimentSpec;
-}
-
 namespace tcgrid::expt {
-
-struct SweepConfig {
-  std::vector<int> ms{5};
-  std::vector<int> ncoms{5, 10, 20};
-  std::vector<long> wmins{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
-  int scenarios_per_cell = 10;
-  int trials = 10;
-  int iterations = 10;
-  int p = 20;
-  long slot_cap = 1'000'000;
-  double eps = 1e-6;
-  std::uint64_t seed = 42;
-  std::size_t threads = 0;  ///< 0 = hardware concurrency
-  std::vector<std::string> heuristics;  ///< empty = all 17
-};
 
 /// All (heuristic x scenario x trial) outcomes of a sweep, with scenario
 /// parameters aligned by scenario index.
@@ -61,25 +32,5 @@ struct SweepResults {
   /// Non-throwing lookup: the index of `name`, or -1 if not in the sweep.
   [[nodiscard]] int try_heuristic_index(const std::string& name) const noexcept;
 };
-
-/// Enumerate the scenario parameter grid of a config (cell-major order,
-/// `scenarios_per_cell` consecutive entries per cell; seeds derived from
-/// config.seed so the grid is reproducible).
-[[nodiscard]] std::vector<platform::ScenarioParams> scenario_grid(const SweepConfig& c);
-
-/// Run the sweep. `progress`, if given, is called after each completed
-/// (scenario, trial) unit with (done, total) — the api::Session trial-major
-/// contract, so total == scenarios x trials and progress is smooth instead
-/// of one tick per scenario. It may be called from worker threads, but
-/// calls are serialized by the underlying api::Session — no two invocations
-/// ever run concurrently, so unsynchronized callback state is safe.
-/// Heuristic names are validated up front: unknown names throw
-/// std::invalid_argument before any simulation starts.
-[[nodiscard]] SweepResults run_sweep(
-    const SweepConfig& config,
-    const std::function<void(std::size_t, std::size_t)>& progress = nullptr);
-
-/// The api::ExperimentSpec equivalent of a legacy SweepConfig.
-[[nodiscard]] api::ExperimentSpec to_spec(const SweepConfig& config);
 
 }  // namespace tcgrid::expt

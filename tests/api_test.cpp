@@ -112,7 +112,6 @@ TEST(Session, RunMatchesLegacyTrialLoop) {
   const auto scenarios = spec.scenarios();
   expt::RunOptions legacy_options;
   legacy_options.slot_cap = spec.options.slot_cap;
-  legacy_options.eps = spec.options.eps;
   for (std::size_t sc = 0; sc < scenarios.size(); ++sc) {
     const auto scenario = platform::make_scenario(scenarios[sc]);
     sched::Estimator estimator(scenario.platform, scenario.app, spec.options.eps);
@@ -446,23 +445,6 @@ TEST(Spec, ExplicitScenariosReplaceGrid) {
   EXPECT_EQ(spec.scenarios()[1].seed, 2u);
 }
 
-TEST(Spec, GridMatchesLegacyScenarioGrid) {
-  expt::SweepConfig config;
-  config.ms = {5, 10};
-  config.ncoms = {5, 20};
-  config.wmins = {1, 3};
-  config.scenarios_per_cell = 3;
-  const auto legacy = expt::scenario_grid(config);
-  const auto spec_grid = expt::to_spec(config).scenarios();
-  ASSERT_EQ(legacy.size(), spec_grid.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(legacy[i].seed, spec_grid[i].seed);
-    EXPECT_EQ(legacy[i].m, spec_grid[i].m);
-    EXPECT_EQ(legacy[i].ncom, spec_grid[i].ncom);
-    EXPECT_EQ(legacy[i].wmin, spec_grid[i].wmin);
-  }
-}
-
 TEST(Spec, DefaultHeuristicsAreThePapers17) {
   ExperimentSpec spec;
   EXPECT_EQ(spec.resolved_heuristics().size(), 17u);
@@ -487,14 +469,20 @@ TEST(Session, CooperativeStopReturnsPartialStats) {
   // Stop raised from the progress callback after the first completed unit:
   // the flag is honored at unit boundaries, so completed units are whole
   // (rows a multiple of the heuristic count) and pending units are skipped.
-  {
-    Session session(spec.options);
+  // With one thread units run in enumeration order, so exactly the
+  // in-flight unit completes.
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ExperimentSpec threaded = spec;
+    threaded.options.threads = threads;
+    Session session(threaded.options);
     AggregateSink agg;
     std::atomic<bool> stop{false};
     const auto stats = session.run(
-        spec, {&agg}, [&](std::size_t done, std::size_t) { if (done >= 1) stop = true; },
-        &stop);
+        threaded, {&agg},
+        [&](std::size_t done, std::size_t) { if (done >= 1) stop = true; }, &stop);
     EXPECT_TRUE(stats.cancelled);
+    if (threads == 1) EXPECT_EQ(stats.units_done, 1u);
     EXPECT_GE(stats.units_done, 1u);
     EXPECT_LT(stats.units_done, 4u);
     EXPECT_EQ(stats.rows, stats.units_done * spec.heuristics.size());

@@ -172,42 +172,58 @@ TEST(Serve, SubmitStreamComplete) {
   EXPECT_EQ(tail_end.find("rows")->as_uint(), expected);
 }
 
-TEST(Serve, TrialBatchRoundTripsAndZeroWidthIsNamedAtTheWire) {
+TEST(Serve, ManifestWithRetiredTrialBatchReloadsAndFinishesIdentically) {
   serve::ServerOptions opts;
-  opts.root = fresh_root("batch");
+  opts.root = fresh_root("trial_batch");
   opts.threads = 2;
-  serve::Server server(opts);
-  Client client(server);
+  const api::ExperimentSpec spec = tiny_spec(3);
 
-  // A lockstep-width spec survives the wire round-trip and completes; its
-  // rows are the SAME pure functions of (scenario, trial, heuristic) the
-  // sequential executor produces (the daemon schedules per-unit, and
-  // Session bit-identity guarantees the widths agree — batch_test.cpp),
-  // so the two jobs' row sets must match exactly.
-  api::ExperimentSpec spec = tiny_spec(3);
-  const json::Value seq_ack = client.submit(spec, "alice", "seq");
-  ASSERT_TRUE(is_ok(seq_ack)) << error_of(seq_ack);
-  spec.options.trial_batch = 2;  // ragged against 3 trials
-  const json::Value bat_ack = client.submit(spec, "alice", "bat");
-  ASSERT_TRUE(is_ok(bat_ack)) << error_of(bat_ack);
+  // Reference: the same spec submitted fresh.
+  std::vector<std::string> fresh_rows;
+  {
+    serve::Server server(opts);
+    Client client(server);
+    const json::Value ack = client.submit(spec, "alice", "fresh");
+    ASSERT_TRUE(is_ok(ack)) << error_of(ack);
+    const auto [rows, end] = client.stream_results("fresh");
+    EXPECT_EQ(end.find("state")->as_string(), "done");
+    fresh_rows = sorted(rows);
 
-  const auto [seq_rows, seq_end] = client.stream_results("seq");
-  const auto [bat_rows, bat_end] = client.stream_results("bat");
-  EXPECT_EQ(seq_end.find("state")->as_string(), "done");
-  EXPECT_EQ(bat_end.find("state")->as_string(), "done");
-  EXPECT_EQ(sorted(bat_rows), sorted(seq_rows));
+    // The retired key is still range-checked: a zero width dies at the wire
+    // with the dotted path (there is no spec object to validate yet).
+    std::string text = api::spec_to_json_string(tiny_spec());
+    const std::size_t at = text.find("\"options\":{");
+    ASSERT_NE(at, std::string::npos);
+    text.insert(at + 11, "\"trial_batch\":0,");
+    const json::Value resp =
+        client.roundtrip(serve::submit_request("alice", json::parse(text), ""));
+    EXPECT_FALSE(is_ok(resp));
+    EXPECT_NE(error_of(resp).find("spec.options.trial_batch"), std::string::npos)
+        << error_of(resp);
+  }
 
-  // Zero / negative widths die at the wire with the dotted path (there is
-  // no spec object to validate yet).
-  std::string text = api::spec_to_json_string(tiny_spec());
-  const std::size_t at = text.find("\"trial_batch\":1");
-  ASSERT_NE(at, std::string::npos);
-  text.replace(at, 15, "\"trial_batch\":0");
-  const json::Value resp =
-      client.roundtrip(serve::submit_request("alice", json::parse(text), ""));
-  EXPECT_FALSE(is_ok(resp));
-  EXPECT_NE(error_of(resp).find("spec.options.trial_batch"), std::string::npos)
-      << error_of(resp);
+  // A job directory as an older daemon left it: its manifest's spec carries
+  // "trial_batch", and no unit has run yet.
+  {
+    std::string spec_text = api::spec_to_json_string(spec);
+    const std::size_t at = spec_text.find("\"options\":{");
+    ASSERT_NE(at, std::string::npos);
+    spec_text.insert(at + 11, "\"trial_batch\":8,");
+    serve::JobCheckpoint ckpt(opts.root, "legacy");
+    ckpt.write_manifest(R"({"job":"legacy","tenant":"alice","spec":)" + spec_text + "}");
+  }
+
+  // The restarted daemon loads the job, runs it, and streams the same rows.
+  serve::Server restarted(opts);
+  ASSERT_TRUE(restarted.job_status("legacy").has_value())
+      << "manifest with trial_batch was skipped as unloadable";
+  const auto status = restarted.wait_job("legacy");
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(status->state, "done");
+  Client client(restarted);
+  const auto [rows, end] = client.stream_results("legacy");
+  EXPECT_EQ(end.find("state")->as_string(), "done");
+  EXPECT_EQ(sorted(rows), fresh_rows);
 }
 
 TEST(Serve, MalformedRequestsAndSpecsAreRejectedByName) {

@@ -57,7 +57,6 @@ api::ExperimentSpec full_spec() {
   spec.options.record_trace = true;
   spec.options.avail_block = 17;
   spec.options.fast_forward = false;
-  spec.options.trial_batch = 8;
   spec.options.realization_budget = (1ull << 33) + 5;  // > 32 bits
   spec.options.eps = 1e-4;
   spec.options.shared_chain_stats = false;
@@ -103,7 +102,6 @@ TEST(SpecJson, EveryFieldSurvivesTheRoundTrip) {
   EXPECT_EQ(back.options.record_trace, spec.options.record_trace);
   EXPECT_EQ(back.options.avail_block, spec.options.avail_block);
   EXPECT_EQ(back.options.fast_forward, spec.options.fast_forward);
-  EXPECT_EQ(back.options.trial_batch, spec.options.trial_batch);
   EXPECT_EQ(back.options.realization_budget, spec.options.realization_budget);
   EXPECT_EQ(back.options.eps, spec.options.eps);
   EXPECT_EQ(back.options.shared_chain_stats, spec.options.shared_chain_stats);
@@ -179,8 +177,24 @@ TEST(SpecJson, IntegerRangeIsEnforced) {
   expect_field_error(R"({"trials": 4294967296})", "outside");
   // A seed is unsigned: negatives are rejected, not wrapped.
   expect_field_error(R"({"options": {"seed": -1}})", "spec.options.seed");
-  // A lockstep batch has at least one lane: 0 and negatives fail at the
-  // wire with the dotted path, before a spec object exists.
+}
+
+TEST(SpecJson, RetiredTrialBatchKeyIsAcceptedAndDropped) {
+  // Job manifests written by older daemons always carry "trial_batch";
+  // such a spec must still parse (to the same spec as without the key) and
+  // is re-emitted without it.
+  const api::ExperimentSpec spec = full_spec();
+  std::string text = api::spec_to_json_string(spec);
+  EXPECT_EQ(text.find("trial_batch"), std::string::npos) << text;
+  const std::size_t at = text.find("\"options\":{");
+  ASSERT_NE(at, std::string::npos);
+  for (const char* value : {"1", "8"}) {
+    std::string legacy = text;
+    legacy.insert(at + 11, std::string("\"trial_batch\":") + value + ",");
+    EXPECT_EQ(api::spec_to_json_string(api::spec_from_json_string(legacy)), text);
+  }
+  // Still range-checked: 0 and negatives fail at the wire with the dotted
+  // path, before a spec object exists.
   expect_field_error(R"({"options": {"trial_batch": 0}})",
                      "spec.options.trial_batch");
   expect_field_error(R"({"options": {"trial_batch": -3}})", "outside");

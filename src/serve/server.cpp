@@ -30,12 +30,24 @@ std::string error_line(std::string_view message) {
   return json::dump(error_value(message));
 }
 
+constexpr std::string_view kTenantError =
+    "tenant: required, [A-Za-z0-9._-]{1,64}, no leading dot";
+
+/// The request's "tenant" when it is a valid identifier, else nullptr.
+const std::string* request_tenant(const json::Value& req) {
+  const json::Value* v = req.find("tenant");
+  if (v == nullptr || !v->is_string() || !valid_identifier(v->as_string())) return nullptr;
+  return &v->as_string();
+}
+
 }  // namespace
 
 // ------------------------------------------------------------- state types ----
 
-struct Server::Job {
-  std::string id;
+/// A validated spec resolved for execution (built only by make_plan): what
+/// running a unit needs, whether the unit belongs to a local job or
+/// arrives in a coordinator's lease.
+struct Server::Plan {
   std::string tenant;
   api::ExperimentSpec spec;
   api::Options options;  ///< spec.options with the tenant's quota clamps
@@ -46,6 +58,31 @@ struct Server::Job {
   std::size_t trials = 0;
   std::size_t units_total = 0;
 
+  /// Run one unit on `session` and render its rows (row_line bytes, in
+  /// heuristic order). Throws what the unit throws.
+  [[nodiscard]] std::vector<std::string> run_unit(api::Session& session,
+                                                  std::size_t unit) const {
+    const std::size_t sc = api::unit_scenario(unit, trials);
+    const int trial = static_cast<int>(api::unit_trial(unit, trials));
+    const std::vector<sim::SimulationResult> results = session.run_unit(
+        options, *avail_family, plat_family, scenarios[sc], heuristics, trial);
+    std::vector<std::string> rows;
+    rows.reserve(results.size());
+    for (std::size_t h = 0; h < results.size(); ++h) {
+      rows.push_back(row_line(sc, trial, h, heuristics[h], spec.scenario_space.availability,
+                              scenarios[sc], results[h]));
+    }
+    return rows;
+  }
+};
+
+/// A submitted plan plus its dispatch and checkpoint state.
+struct Server::Job : Server::Plan {
+  explicit Job(Plan plan) : Plan(std::move(plan)) {}
+
+  std::string id;
+  Tenant* owner = nullptr;  ///< set at registration; tenants are never erased
+
   enum class State { Queued, Running, Done, Cancelled, Failed };
   State state = State::Queued;
   bool cancel_requested = false;
@@ -53,16 +90,15 @@ struct Server::Job {
 
   enum : std::uint8_t { kPending = 0, kInFlight = 1, kDone = 2 };
   std::vector<std::uint8_t> unit_state;
+  /// Live leases per unit — at most 2 (the original claim plus one steal).
+  /// A kInFlight unit stays in flight until its LAST lease resolves.
+  std::vector<std::uint8_t> lease_count;
   std::size_t units_done = 0;
   std::size_t inflight = 0;
   std::size_t next_scan = 0;  ///< first possibly-pending unit (scan hint)
 
-  // Coordinator-mode dispatch state (empty/null on a plain daemon).
-  /// Live leases per unit — at most 2 (the original claim plus one steal).
-  /// A kInFlight unit stays in flight until its LAST lease resolves.
-  std::vector<std::uint8_t> lease_count;
   /// Canonical spec JSON, attached to the first lease of this job sent on
-  /// each shard connection (see protocol.hpp lease op).
+  /// each shard connection (see protocol.hpp lease op). Coordinator only.
   std::shared_ptr<const std::string> spec_json;
 
   std::vector<std::string> rows;  ///< committed rows, completion order
@@ -105,6 +141,22 @@ struct Server::Tenant {
   obs::Histogram unit_service_us;    ///< claim -> durable publish, per unit
   obs::Histogram stream_latency_us;  ///< row publish -> results-reader pop
   obs::Counter evictions_total;      ///< DRAINING cache evictions
+
+  /// Caller holds mu_. Quota check at the only safe boundary, a completed
+  /// unit: enter DRAINING once the chain store passed its bound. The store
+  /// can overshoot by at most the in-flight units' growth. A coordinator's
+  /// sessions run no units, so their stores stay empty and never drain.
+  void check_store_quota() {
+    if (draining) return;
+    const std::size_t bytes = session->chain_store_counters().bytes;
+    if (bytes <= quota.chain_store_bytes) return;
+    draining = true;
+    if (obs::Tracer::instance().active()) {
+      obs::Tracer::instance().emit(
+          "serve_drain_start",
+          {{"tenant", name}, {"chain_store_bytes", static_cast<unsigned long long>(bytes)}});
+    }
+  }
 };
 
 // ------------------------------------------------------------ construction ----
@@ -141,13 +193,17 @@ Server::Server(ServerOptions options) : options_(std::move(options)) {
 
 Server::~Server() { hard_stop(); }
 
+const TenantQuota& Server::quota_for(const std::string& tenant) const {
+  const auto q = options_.tenant_quotas.find(tenant);
+  return q != options_.tenant_quotas.end() ? q->second : options_.default_quota;
+}
+
 Server::Tenant& Server::tenant_for(const std::string& name) {
   auto it = tenants_.find(name);
   if (it == tenants_.end()) {
     auto tenant = std::make_unique<Tenant>();
     tenant->name = name;
-    const auto q = options_.tenant_quotas.find(name);
-    tenant->quota = q != options_.tenant_quotas.end() ? q->second : options_.default_quota;
+    tenant->quota = quota_for(name);
     api::Options session_options;
     session_options.eps = options_.eps;
     // One store directory across tenants (see ServerOptions::store_dir):
@@ -182,9 +238,8 @@ void Server::load_existing_jobs() {
       if (tenant == nullptr || !tenant->is_string() || spec_value == nullptr) {
         throw std::invalid_argument("manifest missing tenant/spec");
       }
-      api::ExperimentSpec spec = api::spec_from_json(*spec_value);
-      register_job(job_id, tenant->as_string(), std::move(spec), std::move(ckpt),
-                   /*fresh=*/false);
+      register_job(job_id, make_plan(tenant->as_string(), api::spec_from_json(*spec_value)),
+                   std::move(ckpt), /*fresh=*/false);
     } catch (const std::exception& e) {
       // A corrupt manifest must not take the daemon down — leave the
       // directory untouched for inspection and keep serving everyone else.
@@ -194,24 +249,31 @@ void Server::load_existing_jobs() {
   }
 }
 
-std::string Server::register_job(const std::string& job_id, const std::string& tenant_name,
-                                 api::ExperimentSpec spec,
-                                 std::unique_ptr<JobCheckpoint> ckpt, bool fresh) {
-  auto job = std::make_shared<Job>();
+Server::Plan Server::make_plan(std::string tenant, api::ExperimentSpec spec) const {
+  Plan plan;
+  plan.scenarios = spec.scenarios();
+  plan.heuristics = spec.resolved_heuristics();
+  plan.avail_family = scen::availability_family(spec.scenario_space.availability);
+  plan.plat_family = scen::platform_family(spec.scenario_space.platform);
+  plan.trials = static_cast<std::size_t>(spec.trials);
+  plan.units_total = plan.scenarios.size() * plan.trials;
+  plan.options = spec.options;
+  // Quota clamp: the spec's realization budget never exceeds the tenant's.
+  plan.options.realization_budget =
+      std::min(plan.options.realization_budget, quota_for(tenant).realization_budget);
+  plan.tenant = std::move(tenant);
+  plan.spec = std::move(spec);
+  return plan;
+}
+
+void Server::register_job(const std::string& job_id, Plan plan,
+                          std::unique_ptr<JobCheckpoint> ckpt, bool fresh) {
+  auto job = std::make_shared<Job>(std::move(plan));
   job->id = job_id;
-  job->tenant = tenant_name;
-  job->scenarios = spec.scenarios();
-  job->heuristics = spec.resolved_heuristics();
-  job->avail_family = scen::availability_family(spec.scenario_space.availability);
-  job->plat_family = scen::platform_family(spec.scenario_space.platform);
-  job->trials = static_cast<std::size_t>(spec.trials);
-  job->units_total = job->scenarios.size() * job->trials;
   job->unit_state.assign(job->units_total, Job::kPending);
-  job->options = spec.options;
-  job->spec = std::move(spec);
+  job->lease_count.assign(job->units_total, 0);
   job->ckpt = std::move(ckpt);
   if (options_.coordinator) {
-    job->lease_count.assign(job->units_total, 0);
     job->spec_json =
         std::make_shared<const std::string>(json::dump(api::spec_to_json(job->spec)));
   }
@@ -232,14 +294,12 @@ std::string Server::register_job(const std::string& job_id, const std::string& t
   job->row_publish_us.assign(job->rows.size(), obs::steady_now_us());
 
   std::lock_guard<std::mutex> lock(mu_);
-  Tenant& tenant = tenant_for(tenant_name);
+  Tenant& tenant = tenant_for(job->tenant);
+  job->owner = &tenant;
   job->stream_latency_us = tenant.stream_latency_us;
   tenant.jobs += 1;
   tenant.units_done += job->units_done;
   tenant.rows += job->rows.size();
-  // Quota clamp: the spec's realization budget never exceeds the tenant's.
-  job->options.realization_budget =
-      std::min(job->options.realization_budget, tenant.quota.realization_budget);
   if (job->units_done == job->units_total) job->state = Job::State::Done;
   else if (cancelled) job->state = Job::State::Cancelled;
   else job->state = job->units_done > 0 ? Job::State::Running : Job::State::Queued;
@@ -249,7 +309,6 @@ std::string Server::register_job(const std::string& job_id, const std::string& t
   update_fleet_gauges();
   work_cv_.notify_all();
   rows_cv_.notify_all();
-  return job->id;
 }
 
 // ----------------------------------------------------------- fleet gauges ----
@@ -257,13 +316,15 @@ std::string Server::register_job(const std::string& job_id, const std::string& t
 Server::FleetState Server::fleet_state() const {
   FleetState fs;
   for (const auto& [id, job] : jobs_) {
+    // Off the coordinator every claimed unit is held by a local worker,
+    // including the stragglers of a job that already failed.
+    if (!options_.coordinator) fs.busy_workers += job->inflight;
     if (job->terminal()) continue;
     fs.inflight_units += job->inflight;
     if (!job->cancel_requested) {
       fs.queue_depth += job->units_total - job->units_done - job->inflight;
     }
   }
-  fs.busy_workers = busy_workers_;
   return fs;
 }
 
@@ -275,34 +336,7 @@ void Server::update_fleet_gauges() {
   busy_workers_gauge_.set(static_cast<long long>(fs.busy_workers));
 }
 
-// ------------------------------------------------------------ worker fleet ----
-
-std::shared_ptr<Server::Job> Server::claim_unit(std::size_t& unit_out) {
-  // Round-robin over jobs in submission order: each call resumes after the
-  // job served last, so many concurrent jobs (and tenants) interleave
-  // fairly instead of the first job monopolizing the fleet.
-  const std::size_t n = job_order_.size();
-  for (std::size_t step = 0; step < n; ++step) {
-    const std::size_t idx = (rr_cursor_ + step) % n;
-    const std::shared_ptr<Job>& job = jobs_[job_order_[idx]];
-    if (job->terminal() || job->cancel_requested) continue;
-    Tenant& tenant = *tenants_[job->tenant];
-    if (!evict_if_drained(tenant)) continue;
-    while (job->next_scan < job->units_total &&
-           job->unit_state[job->next_scan] != Job::kPending) {
-      ++job->next_scan;
-    }
-    if (job->next_scan >= job->units_total) continue;
-    unit_out = job->next_scan;
-    job->unit_state[unit_out] = Job::kInFlight;
-    job->inflight += 1;
-    tenant.inflight += 1;
-    if (job->state == Job::State::Queued) job->state = Job::State::Running;
-    rr_cursor_ = (idx + 1) % n;
-    return job;
-  }
-  return nullptr;
-}
+// ----------------------------------------------------------- unit pipeline ----
 
 bool Server::evict_if_drained(Tenant& tenant) {
   // Over chain-store quota: evict as soon as the last in-flight unit of
@@ -323,33 +357,28 @@ bool Server::evict_if_drained(Tenant& tenant) {
   return true;
 }
 
-// ------------------------------------------- coordinator dispatch surface ----
-
-Server::Lease Server::make_lease(const std::shared_ptr<Job>& job, std::size_t unit,
-                                 bool stolen) {
-  Lease lease;
-  lease.job = job;
-  lease.job_id = job->id;
-  lease.tenant = job->tenant;
-  lease.spec_json = job->spec_json;
-  lease.unit = unit;
-  lease.stolen = stolen;
-  return lease;
+Server::Lease Server::take_locked(const std::shared_ptr<Job>& job, std::size_t unit) {
+  job->unit_state[unit] = Job::kInFlight;
+  job->lease_count[unit] = 1;
+  job->inflight += 1;
+  job->owner->inflight += 1;
+  if (job->state == Job::State::Queued) job->state = Job::State::Running;
+  return Lease{job, job->id, job->tenant, job->spec_json, unit, /*stolen=*/false};
 }
 
 std::optional<Server::Lease> Server::steal_locked() {
   // Tail stealing: duplicate-claim an in-flight unit carrying exactly one
-  // live lease. Same round-robin fairness as claim_unit; the lease cap of 2
-  // bounds duplicated work to one extra execution per straggler.
+  // live lease. Same round-robin fairness as claim_locked; the lease cap of
+  // 2 bounds duplicated work to one extra execution per straggler.
   const std::size_t n = job_order_.size();
   for (std::size_t step = 0; step < n; ++step) {
     const std::size_t idx = (rr_cursor_ + step) % n;
     const std::shared_ptr<Job>& job = jobs_[job_order_[idx]];
-    if (job->terminal() || job->cancel_requested || job->lease_count.empty()) continue;
+    if (job->terminal() || job->cancel_requested) continue;
     for (std::size_t u = 0; u < job->units_total; ++u) {
       if (job->unit_state[u] == Job::kInFlight && job->lease_count[u] == 1) {
         job->lease_count[u] = 2;
-        return make_lease(job, u, /*stolen=*/true);
+        return Lease{job, job->id, job->tenant, job->spec_json, u, /*stolen=*/true};
       }
     }
   }
@@ -357,10 +386,22 @@ std::optional<Server::Lease> Server::steal_locked() {
 }
 
 std::optional<Server::Lease> Server::claim_locked(bool allow_steal) {
-  std::size_t unit = 0;
-  if (std::shared_ptr<Job> job = claim_unit(unit)) {
-    if (!job->lease_count.empty()) job->lease_count[unit] = 1;
-    return make_lease(job, unit, /*stolen=*/false);
+  // Round-robin over jobs in submission order: each call resumes after the
+  // job served last, so many concurrent jobs (and tenants) interleave
+  // fairly instead of the first job monopolizing the fleet.
+  const std::size_t n = job_order_.size();
+  for (std::size_t step = 0; step < n; ++step) {
+    const std::size_t idx = (rr_cursor_ + step) % n;
+    const std::shared_ptr<Job>& job = jobs_[job_order_[idx]];
+    if (job->terminal() || job->cancel_requested) continue;
+    if (!evict_if_drained(*job->owner)) continue;
+    while (job->next_scan < job->units_total &&
+           job->unit_state[job->next_scan] != Job::kPending) {
+      ++job->next_scan;
+    }
+    if (job->next_scan >= job->units_total) continue;
+    rr_cursor_ = (idx + 1) % n;
+    return take_locked(job, job->next_scan);
   }
   return allow_steal ? steal_locked() : std::nullopt;
 }
@@ -378,147 +419,130 @@ std::optional<Server::Lease> Server::claim_for_dispatch(bool allow_steal) {
   return lease;
 }
 
-std::optional<Server::Lease> Server::try_claim_for_dispatch() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (stopping_) return std::nullopt;
-  std::optional<Lease> lease = claim_locked(/*allow_steal=*/false);
-  if (lease.has_value()) update_fleet_gauges();
-  return lease;
-}
-
 std::optional<Server::Lease> Server::try_claim_sibling(const Lease& held) {
   std::lock_guard<std::mutex> lock(mu_);
   if (stopping_) return std::nullopt;
   const std::shared_ptr<Job>& job = held.job;
   if (job->terminal() || job->cancel_requested || job->trials == 0) return std::nullopt;
-  Tenant& tenant = *tenants_[job->tenant];
-  if (tenant.draining) return std::nullopt;  // don't extend into an eviction
+  if (job->owner->draining) return std::nullopt;  // don't extend into an eviction
   const std::size_t scenario = held.unit / job->trials;
   const std::size_t lo = scenario * job->trials;
   const std::size_t hi = std::min(lo + job->trials, job->units_total);
   for (std::size_t u = lo; u < hi; ++u) {
     if (job->unit_state[u] != Job::kPending) continue;
-    job->unit_state[u] = Job::kInFlight;
-    job->inflight += 1;
-    tenant.inflight += 1;
-    if (!job->lease_count.empty()) job->lease_count[u] = 1;
-    if (job->state == Job::State::Queued) job->state = Job::State::Running;
+    Lease lease = take_locked(job, u);
     update_fleet_gauges();
-    return make_lease(job, u, /*stolen=*/false);
+    return lease;
   }
   return std::nullopt;
 }
 
-Server::RemoteCommit Server::commit_remote_unit(const Lease& lease,
-                                                std::vector<std::string> rows,
-                                                std::uint64_t claimed_us) {
-  const std::shared_ptr<Job>& job = lease.job;
-  std::lock_guard<std::mutex> io_lock(job->io_mutex);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Abandon instead of committing once stopping: hard_stop() promises
-    // kill -9 semantics (nothing new becomes durable after it returns —
-    // the fleet threads are joined before hard_stop returns).
-    if (stopping_) return RemoteCommit::Stopped;
-    if (job->unit_state[lease.unit] == Job::kDone) {
-      // A racing lease of this unit won. kDone is authoritative here: the
-      // winner set it before releasing io_mutex, so holding io_mutex and
-      // NOT seeing kDone means no other commit of the unit can exist. The
-      // dropped rows are byte-identical to the committed ones by purity.
-      return RemoteCommit::Duplicate;
-    }
-  }
-  try {
-    job->ckpt->commit_unit(lease.unit, rows);
-  } catch (const std::exception& e) {
-    fail_lease(lease, std::string("checkpoint write failed: ") + e.what());
-    return RemoteCommit::Failed;
-  }
+Server::LeaseCommit Server::commit_lease(const Lease& lease, std::vector<std::string> rows,
+                                         std::uint64_t claimed_us) {
+  Job& job = *lease.job;
+  Tenant& tenant = *job.owner;
   std::uint64_t service_us = 0;
-  if (claimed_us != 0) service_us = obs::steady_now_us() - claimed_us;
-  const std::size_t row_count = rows.size();
+  bool job_completed = false;
   {
+    std::lock_guard<std::mutex> io_lock(job.io_mutex);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      // Abandon instead of committing once stopping: hard_stop() promises
+      // kill -9 semantics (nothing new becomes durable after it returns —
+      // workers and fleet threads are joined before hard_stop returns).
+      if (stopping_) return LeaseCommit::Stopped;
+      if (job.unit_state[lease.unit] == Job::kDone) {
+        // A racing lease of this unit won. kDone is authoritative here: the
+        // winner set it before releasing io_mutex, so holding io_mutex and
+        // NOT seeing kDone means no other commit of the unit can exist. The
+        // dropped rows are byte-identical to the committed ones by purity.
+        return LeaseCommit::Duplicate;
+      }
+    }
+    try {
+      job.ckpt->commit_unit(lease.unit, rows);
+    } catch (const std::exception& e) {
+      fail_lease(lease, std::string("checkpoint write failed: ") + e.what());
+      return LeaseCommit::Failed;
+    }
+    // Unit service time: claim to durable commit (the fsync is in; the rows
+    // become visible to readers a few instructions later).
+    if (claimed_us != 0) service_us = obs::steady_now_us() - claimed_us;
     // Publish while still holding io_mutex so the in-memory row order
-    // matches rows.jsonl's commit order exactly — the merge layer keeps
-    // the `results --from=N` offset invariant (DESIGN.md §15).
+    // matches rows.jsonl's commit order exactly — `results --from=N`
+    // offsets must index the same sequence before and after a daemon
+    // restart (which rebuilds job.rows in file order), on a coordinator
+    // too (DESIGN.md §15).
     std::lock_guard<std::mutex> lock(mu_);
-    Tenant& tenant = *tenants_[job->tenant];
-    job->inflight -= 1;
+    job.inflight -= 1;
     tenant.inflight -= 1;
-    job->unit_state[lease.unit] = Job::kDone;
-    if (!job->lease_count.empty()) job->lease_count[lease.unit] = 0;
-    job->units_done += 1;
+    job.unit_state[lease.unit] = Job::kDone;
+    job.lease_count[lease.unit] = 0;
+    job.units_done += 1;
+    tenant.units_done += 1;
+    tenant.rows += rows.size();
     const std::uint64_t now_us = obs::steady_now_us();
     for (std::string& row : rows) {
-      job->rows.push_back(std::move(row));
-      job->row_publish_us.push_back(now_us);
+      job.rows.push_back(std::move(row));
+      job.row_publish_us.push_back(now_us);
     }
-    tenant.units_done += 1;
-    tenant.rows += row_count;
     if (claimed_us != 0) tenant.unit_service_us.observe(service_us);
-    if (job->units_done == job->units_total && !job->terminal()) {
-      job->state = Job::State::Done;
+    if (job.units_done == job.units_total && !job.terminal()) {
+      job.state = Job::State::Done;
+      job_completed = true;
     }
-    // No chain-store quota check: coordinator tenant sessions never run
-    // units, so their stores stay empty — DRAINING happens on the shards.
-    finalize_if_drained(*job);
+    tenant.check_store_quota();
+    finalize_if_drained(job);
     update_fleet_gauges();
     rows_cv_.notify_all();
     work_cv_.notify_all();
   }
   if (obs::Tracer::instance().active()) {
+    // Outside every lock: the tracer's file write must not stall the fleet.
     obs::Tracer::instance().emit(
-        "coord_commit", {{"job", job->id},
-                         {"unit", static_cast<unsigned long long>(lease.unit)},
-                         {"stolen", lease.stolen},
-                         {"us", static_cast<unsigned long long>(service_us)}});
+        "serve_unit", {{"job", job.id},
+                       {"tenant", job.tenant},
+                       {"unit", static_cast<unsigned long long>(lease.unit)},
+                       {"stolen", lease.stolen},
+                       {"us", static_cast<unsigned long long>(service_us)}});
   }
-  return RemoteCommit::Committed;
+  // Job completion is a quiesce point of the persistent store (DESIGN.md
+  // §14): persist what this sweep interned while it is all still hot.
+  // Outside every lock — the flush serializes internally and snapshots
+  // entries other tenants' units may still be appending to.
+  if (job_completed) tenant.session->flush_store();
+  return LeaseCommit::Committed;
+}
+
+void Server::release_locked(const Lease& lease) {
+  Job& job = *lease.job;
+  // A committed unit stays committed; a unit another live lease still
+  // covers stays in flight until that lease resolves on its own.
+  if (job.unit_state[lease.unit] == Job::kInFlight && --job.lease_count[lease.unit] == 0) {
+    job.unit_state[lease.unit] = Job::kPending;
+    job.next_scan = std::min(job.next_scan, lease.unit);
+    job.inflight -= 1;
+    job.owner->inflight -= 1;
+  }
+  finalize_if_drained(job);
+  update_fleet_gauges();
+  work_cv_.notify_all();
+  rows_cv_.notify_all();
 }
 
 void Server::return_lease(const Lease& lease) {
   std::lock_guard<std::mutex> lock(mu_);
-  const std::shared_ptr<Job>& job = lease.job;
-  if (job->unit_state[lease.unit] != Job::kInFlight) return;  // already committed
-  if (!job->lease_count.empty() && job->lease_count[lease.unit] > 1) {
-    // The other lease of this unit is still live — it finishes or expires
-    // on its own; the unit stays in flight.
-    job->lease_count[lease.unit] -= 1;
-    return;
-  }
-  if (!job->lease_count.empty()) job->lease_count[lease.unit] = 0;
-  job->unit_state[lease.unit] = Job::kPending;
-  job->next_scan = std::min(job->next_scan, lease.unit);
-  job->inflight -= 1;
-  tenants_[job->tenant]->inflight -= 1;
-  finalize_if_drained(*job);
-  update_fleet_gauges();
-  work_cv_.notify_all();
-  rows_cv_.notify_all();
+  release_locked(lease);
 }
 
 void Server::fail_lease(const Lease& lease, const std::string& error) {
   std::lock_guard<std::mutex> lock(mu_);
-  const std::shared_ptr<Job>& job = lease.job;
-  if (job->unit_state[lease.unit] == Job::kInFlight) {
-    if (!job->lease_count.empty() && job->lease_count[lease.unit] > 1) {
-      job->lease_count[lease.unit] -= 1;
-    } else {
-      if (!job->lease_count.empty()) job->lease_count[lease.unit] = 0;
-      job->unit_state[lease.unit] = Job::kPending;  // dropped, not committed
-      job->next_scan = std::min(job->next_scan, lease.unit);
-      job->inflight -= 1;
-      tenants_[job->tenant]->inflight -= 1;
-    }
+  Job& job = *lease.job;
+  if (!job.terminal()) {
+    job.state = Job::State::Failed;
+    job.error = error;
   }
-  if (!job->terminal()) {
-    job->state = Job::State::Failed;
-    job->error = error;
-  }
-  finalize_if_drained(*job);
-  update_fleet_gauges();
-  rows_cv_.notify_all();
-  work_cv_.notify_all();
+  release_locked(lease);
 }
 
 void Server::finalize_if_drained(Job& job) {
@@ -532,148 +556,31 @@ void Server::finalize_if_drained(Job& job) {
 }
 
 void Server::worker_loop() {
-  while (true) {
-    std::shared_ptr<Job> job;
-    std::size_t unit = 0;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] {
-        if (stopping_) return true;
-        job = claim_unit(unit);
-        return job != nullptr;
-      });
-      if (stopping_) return;
-      busy_workers_ += 1;
-      update_fleet_gauges();
-    }
+  // The in-process end of the unit pipeline: the only step that differs
+  // from a shard slot is that the unit runs here, on the owning tenant's
+  // session, instead of on a shard.
+  while (const std::optional<Lease> lease = claim_for_dispatch(/*allow_steal=*/false)) {
     const std::uint64_t claimed_us = obs::enabled() ? obs::steady_now_us() : 0;
-
-    const std::size_t sc = api::unit_scenario(unit, job->trials);
-    const int trial = static_cast<int>(api::unit_trial(unit, job->trials));
-    Tenant& tenant = [&]() -> Tenant& {
-      std::lock_guard<std::mutex> lock(mu_);
-      return *tenants_[job->tenant];
-    }();
-
-    std::vector<std::string> unit_rows;
-    bool failed = false;
-    std::string error;
+    std::vector<std::string> rows;
     try {
-      const std::vector<sim::SimulationResult> results = tenant.session->run_unit(
-          job->options, *job->avail_family, job->plat_family, job->scenarios[sc],
-          job->heuristics, trial);
-      unit_rows.reserve(results.size());
-      for (std::size_t h = 0; h < results.size(); ++h) {
-        unit_rows.push_back(row_line(sc, trial, h, job->heuristics[h],
-                                     job->spec.scenario_space.availability,
-                                     job->scenarios[sc], results[h]));
-      }
+      rows = lease->job->run_unit(*lease->job->owner->session, lease->unit);
     } catch (const std::exception& e) {
-      failed = true;
-      error = e.what();
+      fail_lease(*lease, e.what());
+      continue;
     }
-
-    bool published = false;
-    bool job_completed = false;
-    if (!failed) {
-      // Abandon instead of committing once stopping: hard_stop() promises
-      // kill -9 semantics (nothing new becomes durable after it returns).
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (stopping_) return;
-      }
-      std::lock_guard<std::mutex> io_lock(job->io_mutex);
-      try {
-        job->ckpt->commit_unit(unit, unit_rows);
-      } catch (const std::exception& e) {
-        failed = true;
-        error = std::string("checkpoint write failed: ") + e.what();
-      }
-      // Unit service time: claim to durable commit (the fsync is in; the
-      // rows become visible to readers a few instructions later).
-      std::uint64_t service_us = 0;
-      if (!failed) {
-        if (claimed_us != 0) service_us = obs::steady_now_us() - claimed_us;
-        // Publish while still holding io_mutex so the in-memory row order
-        // matches rows.jsonl's commit order exactly — `results --from=N`
-        // offsets must index the same sequence before and after a daemon
-        // restart (which rebuilds job->rows in file order).
-        std::lock_guard<std::mutex> lock(mu_);
-        job->inflight -= 1;
-        tenant.inflight -= 1;
-        busy_workers_ -= 1;
-        job->unit_state[unit] = Job::kDone;
-        job->units_done += 1;
-        const std::uint64_t now_us = obs::steady_now_us();
-        for (std::string& row : unit_rows) {
-          job->rows.push_back(std::move(row));
-          job->row_publish_us.push_back(now_us);
-        }
-        tenant.units_done += 1;
-        tenant.rows += unit_rows.size();
-        if (claimed_us != 0) tenant.unit_service_us.observe(service_us);
-        if (job->units_done == job->units_total && !job->terminal()) {
-          job->state = Job::State::Done;
-          job_completed = true;
-        }
-        // Quota check at the only safe boundary: a completed unit. The
-        // store can overshoot by at most the in-flight units' growth.
-        if (!tenant.draining &&
-            tenant.session->chain_store_counters().bytes > tenant.quota.chain_store_bytes) {
-          tenant.draining = true;
-          if (obs::Tracer::instance().active()) {
-            obs::Tracer::instance().emit(
-                "serve_drain_start",
-                {{"tenant", tenant.name},
-                 {"chain_store_bytes",
-                  static_cast<unsigned long long>(
-                      tenant.session->chain_store_counters().bytes)}});
-          }
-        }
-        finalize_if_drained(*job);
-        update_fleet_gauges();
-        rows_cv_.notify_all();
-        work_cv_.notify_all();
-        published = true;
-      }
-      if (published && obs::Tracer::instance().active()) {
-        // Outside mu_: the tracer's file write must not stall the fleet.
-        obs::Tracer::instance().emit(
-            "serve_unit", {{"job", job->id},
-                           {"tenant", job->tenant},
-                           {"unit", static_cast<unsigned long long>(unit)},
-                           {"us", static_cast<unsigned long long>(service_us)}});
-      }
-    }
-
-    // Job completion is a quiesce point of the persistent store (DESIGN.md
-    // §14): persist what this sweep interned while it is all still hot.
-    // Outside every lock — the flush serializes internally and snapshots
-    // entries other tenants' units may still be appending to.
-    if (job_completed) tenant.session->flush_store();
-
-    if (!published) {
-      std::lock_guard<std::mutex> lock(mu_);
-      job->inflight -= 1;
-      tenant.inflight -= 1;
-      busy_workers_ -= 1;
-      if (!job->terminal()) {
-        job->state = Job::State::Failed;
-        job->error = error;
-      }
-      job->unit_state[unit] = Job::kPending;  // dropped, not committed
-      job->next_scan = std::min(job->next_scan, unit);
-      finalize_if_drained(*job);
-      update_fleet_gauges();
-      rows_cv_.notify_all();
-      work_cv_.notify_all();
-    }
+    commit_lease(*lease, std::move(rows), claimed_us);
   }
 }
 
 // ---------------------------------------------------------------- requests ----
 
-std::string Server::spec_gate_error(const api::ExperimentSpec& spec) const {
+std::string Server::parse_spec(const json::Value& spec_v, api::ExperimentSpec& spec) const {
+  try {
+    spec = api::spec_from_json(spec_v);
+    spec.validate();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
   // Session-level knobs a per-job spec cannot change (DESIGN.md §11):
   // reject loudly rather than silently diverge from what would run. Shared
   // by submit and lease — a shard enforces the same gates a front door
@@ -695,23 +602,12 @@ std::string Server::spec_gate_error(const api::ExperimentSpec& spec) const {
 }
 
 std::string Server::handle_submit(const json::Value& req) {
-  const json::Value* tenant_v = req.find("tenant");
-  if (tenant_v == nullptr || !tenant_v->is_string() ||
-      !valid_identifier(tenant_v->as_string())) {
-    return error_line("tenant: required, [A-Za-z0-9._-]{1,64}, no leading dot");
-  }
-  const std::string tenant_name = tenant_v->as_string();
-
+  const std::string* tenant_name = request_tenant(req);
+  if (tenant_name == nullptr) return error_line(kTenantError);
   const json::Value* spec_v = req.find("spec");
   if (spec_v == nullptr) return error_line("spec: required");
   api::ExperimentSpec spec;
-  try {
-    spec = api::spec_from_json(*spec_v);
-    spec.validate();
-  } catch (const std::invalid_argument& e) {
-    return error_line(e.what());
-  }
-  if (std::string gate = spec_gate_error(spec); !gate.empty()) return error_line(gate);
+  if (std::string error = parse_spec(*spec_v, spec); !error.empty()) return error_line(error);
 
   std::string job_id;
   if (const json::Value* job_v = req.find("job"); job_v != nullptr) {
@@ -745,7 +641,7 @@ std::string Server::handle_submit(const json::Value& req) {
   try {
     ckpt = std::make_unique<JobCheckpoint>(options_.root, job_id);
     const json::Value manifest = json::Object{
-        {"job", job_id}, {"tenant", tenant_name}, {"spec", api::spec_to_json(spec)}};
+        {"job", job_id}, {"tenant", *tenant_name}, {"spec", api::spec_to_json(spec)}};
     ckpt->write_manifest(json::dump(manifest));
   } catch (const std::exception& e) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -753,7 +649,8 @@ std::string Server::handle_submit(const json::Value& req) {
     return error_line(std::string("checkpoint: ") + e.what());
   }
 
-  register_job(job_id, tenant_name, std::move(spec), std::move(ckpt), /*fresh=*/true);
+  register_job(job_id, make_plan(*tenant_name, std::move(spec)), std::move(ckpt),
+               /*fresh=*/true);
 
   std::lock_guard<std::mutex> lock(mu_);
   const Job& job = *jobs_[job_id];
@@ -1049,22 +946,6 @@ std::string Server::handle_register(const json::Value& req) {
   });
 }
 
-/// Everything handle_lease resolves once per (connection, job ref): the
-/// validated spec and its derived execution state — the same fields a local
-/// Job carries, minus checkpoint/dispatch bookkeeping (lease units are NOT
-/// checkpointed here; durability lives in the coordinator's merge log).
-struct Server::LeaseContext {
-  std::string tenant;
-  api::ExperimentSpec spec;
-  api::Options options;  ///< spec.options with the tenant's quota clamp
-  std::vector<platform::ScenarioParams> scenarios;
-  std::vector<std::string> heuristics;
-  std::shared_ptr<const scen::AvailabilityFamily> avail_family;
-  std::shared_ptr<const scen::PlatformFamily> plat_family;
-  std::size_t trials = 0;
-  std::size_t units_total = 0;
-};
-
 void Server::handle_lease(const json::Value& req, util::LineChannel& ch,
                           LeaseCache& cache) {
   const json::Value* job_v = req.find("job");
@@ -1073,10 +954,9 @@ void Server::handle_lease(const json::Value& req, util::LineChannel& ch,
     return;
   }
   const std::string ref = job_v->as_string();
-  const json::Value* tenant_v = req.find("tenant");
-  if (tenant_v == nullptr || !tenant_v->is_string() ||
-      !valid_identifier(tenant_v->as_string())) {
-    ch.write_line(error_line("tenant: required, [A-Za-z0-9._-]{1,64}, no leading dot"));
+  const std::string* tenant_name = request_tenant(req);
+  if (tenant_name == nullptr) {
+    ch.write_line(error_line(kTenantError));
     return;
   }
   const json::Value* units_v = req.find("units");
@@ -1085,9 +965,9 @@ void Server::handle_lease(const json::Value& req, util::LineChannel& ch,
     return;
   }
 
-  std::shared_ptr<LeaseContext> ctx;
-  if (const auto it = cache.find(ref); it != cache.end()) ctx = it->second;
-  if (ctx == nullptr) {
+  std::shared_ptr<const Plan> plan;
+  if (const auto it = cache.find(ref); it != cache.end()) plan = it->second;
+  if (plan == nullptr) {
     const json::Value* spec_v = req.find("spec");
     if (spec_v == nullptr) {
       // Machine-readable cue: the coordinator resends with the spec
@@ -1098,42 +978,21 @@ void Server::handle_lease(const json::Value& req, util::LineChannel& ch,
           {"need_spec", true}}));
       return;
     }
-    auto fresh = std::make_shared<LeaseContext>();
-    try {
-      fresh->spec = api::spec_from_json(*spec_v);
-      fresh->spec.validate();
-    } catch (const std::invalid_argument& e) {
-      ch.write_line(error_line(e.what()));
+    api::ExperimentSpec spec;
+    if (std::string error = parse_spec(*spec_v, spec); !error.empty()) {
+      ch.write_line(error_line(error));
       return;
     }
-    if (std::string gate = spec_gate_error(fresh->spec); !gate.empty()) {
-      ch.write_line(error_line(gate));
-      return;
-    }
-    fresh->tenant = tenant_v->as_string();
-    fresh->scenarios = fresh->spec.scenarios();
-    fresh->heuristics = fresh->spec.resolved_heuristics();
-    fresh->avail_family = scen::availability_family(fresh->spec.scenario_space.availability);
-    fresh->plat_family = scen::platform_family(fresh->spec.scenario_space.platform);
-    fresh->trials = static_cast<std::size_t>(fresh->spec.trials);
-    fresh->units_total = fresh->scenarios.size() * fresh->trials;
-    fresh->options = fresh->spec.options;
-    {
-      // The tenant's realization-budget quota clamps lease work exactly as
-      // it clamps locally submitted jobs.
-      std::lock_guard<std::mutex> lock(mu_);
-      Tenant& tenant = tenant_for(fresh->tenant);
-      fresh->options.realization_budget =
-          std::min(fresh->options.realization_budget, tenant.quota.realization_budget);
-    }
-    cache.emplace(ref, fresh);
-    ctx = std::move(fresh);
+    // The tenant's quota clamps lease work exactly as it clamps locally
+    // submitted jobs: both resolve through make_plan.
+    plan = std::make_shared<const Plan>(make_plan(*tenant_name, std::move(spec)));
+    cache.emplace(ref, plan);
   }
 
   std::vector<std::size_t> units;
   units.reserve(units_v->as_array().size());
   for (const json::Value& u : units_v->as_array()) {
-    if (!u.is_integer() || u.as_uint() >= ctx->units_total) {
+    if (!u.is_integer() || u.as_uint() >= plan->units_total) {
       ch.write_line(error_line("units: unit id out of range for the lease spec"));
       return;
     }
@@ -1142,35 +1001,27 @@ void Server::handle_lease(const json::Value& req, util::LineChannel& ch,
 
   // Execute on THIS handler thread: the coordinator opens one connection
   // per lease slot, so a shard's parallelism equals the slot count and the
-  // per-thread estimator caches stay warm per slot (DESIGN.md §15).
+  // per-thread estimator caches stay warm per slot (DESIGN.md §15). Lease
+  // units are the coordinator's to checkpoint; here they only count toward
+  // the tenant's accounting and chain-store quota.
   for (std::size_t unit : units) {
     Tenant* tenant = nullptr;
     {
       std::unique_lock<std::mutex> lock(mu_);
       if (stopping_) return;
-      tenant = &tenant_for(tenant_v->as_string());
-      // Quota DRAINING gate, same boundary as claim_unit: clear_caches is
+      tenant = &tenant_for(plan->tenant);
+      // Quota DRAINING gate, same boundary as claim_locked: clear_caches is
       // safe only with nothing of this tenant running, and tenant.inflight
       // counts lease units too.
       work_cv_.wait(lock, [&] { return stopping_ || evict_if_drained(*tenant); });
       if (stopping_) return;
       tenant->inflight += 1;
     }
-    const std::size_t sc = api::unit_scenario(unit, ctx->trials);
-    const int trial = static_cast<int>(api::unit_trial(unit, ctx->trials));
-    std::vector<std::string> unit_rows;
+    std::vector<std::string> rows;
     bool failed = false;
     std::string error;
     try {
-      const std::vector<sim::SimulationResult> results = tenant->session->run_unit(
-          ctx->options, *ctx->avail_family, ctx->plat_family, ctx->scenarios[sc],
-          ctx->heuristics, trial);
-      unit_rows.reserve(results.size());
-      for (std::size_t h = 0; h < results.size(); ++h) {
-        unit_rows.push_back(row_line(sc, trial, h, ctx->heuristics[h],
-                                     ctx->spec.scenario_space.availability,
-                                     ctx->scenarios[sc], results[h]));
-      }
+      rows = plan->run_unit(*tenant->session, unit);
     } catch (const std::exception& e) {
       failed = true;
       error = e.what();
@@ -1180,20 +1031,8 @@ void Server::handle_lease(const json::Value& req, util::LineChannel& ch,
       tenant->inflight -= 1;
       if (!failed) {
         tenant->units_done += 1;
-        tenant->rows += unit_rows.size();
-        // Quota check at the completed-unit boundary, like the local fleet.
-        if (!tenant->draining && tenant->session->chain_store_counters().bytes >
-                                     tenant->quota.chain_store_bytes) {
-          tenant->draining = true;
-          if (obs::Tracer::instance().active()) {
-            obs::Tracer::instance().emit(
-                "serve_drain_start",
-                {{"tenant", tenant->name},
-                 {"chain_store_bytes",
-                  static_cast<unsigned long long>(
-                      tenant->session->chain_store_counters().bytes)}});
-          }
-        }
+        tenant->rows += rows.size();
+        tenant->check_store_quota();
       }
       work_cv_.notify_all();
     }
@@ -1208,10 +1047,10 @@ void Server::handle_lease(const json::Value& req, util::LineChannel& ch,
     std::string header = "{\"ok\":true,\"type\":\"unit\",\"unit\":";
     header += std::to_string(unit);
     header += ",\"rows\":";
-    header += std::to_string(unit_rows.size());
+    header += std::to_string(rows.size());
     header += '}';
     if (!ch.write_line(header)) return;  // coordinator gone; rows re-run elsewhere
-    for (const std::string& row : unit_rows) {
+    for (const std::string& row : rows) {
       if (!ch.write_line(row)) return;
     }
   }

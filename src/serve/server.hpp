@@ -63,27 +63,15 @@ struct TenantQuota {
 };
 
 /// Knobs of the coordinator's shard fleet (DESIGN.md §15). Only read when
-/// ServerOptions::coordinator is true.
+/// ServerOptions::coordinator is true. Each shard gets one lease slot per
+/// worker thread it advertises at registration; a slot claims one fresh
+/// unit plus the pending siblings of its scenario, and an idle slot
+/// tail-steals when nothing is pending.
 struct ShardOptions {
   /// Shard daemon addresses: a unix socket path, "unix:PATH" or
   /// "tcp:HOST:PORT". More shards can join at runtime via the `register`
   /// verb with a "shard" field.
   std::vector<std::string> shards;
-  /// Concurrent lease slots per shard; 0 sizes the pool from the shard's
-  /// registered worker-thread count (its --threads).
-  std::size_t slots_per_shard = 0;
-  /// Fresh units per lease request. 1 (the default) is maximal
-  /// work-stealing: every unit is pulled the moment a slot idles, so
-  /// stragglers never hold queued work hostage. Larger batches amortize
-  /// round trips at the cost of tail balance. Independently of this knob a
-  /// batch always absorbs the remaining pending trials of each claimed
-  /// scenario (Server::try_claim_sibling) — whole scenarios travel to one
-  /// shard so its per-scenario estimator cache is built once.
-  std::size_t lease_batch = 1;
-  /// Duplicate-dispatch an in-flight unit to an idle slot when nothing is
-  /// pending (classic tail stealing; the first completion wins, the loser
-  /// commits nothing).
-  bool steal = true;
   long heartbeat_interval_ms = 1000;  ///< monitor probe period
   long heartbeat_timeout_ms = 5000;   ///< missed-pong deadline -> leases expire
 };
@@ -128,6 +116,7 @@ struct JobStatus {
 class ShardFleet;
 
 class Server {
+  struct Plan;
   struct Job;  // declared up front so the public Lease handle can name it
   struct Tenant;
 
@@ -158,12 +147,14 @@ class Server {
   /// Idempotent.
   void hard_stop();
 
-  // ------------------------------------- coordinator dispatch surface ----
-  // Used by ShardFleet's slot threads (and driven directly by the shard
-  // tests). A Lease is one claimed unit: the coordinator-side claim ticket
-  // whose completion — rows from ANY shard holding a lease on the unit —
-  // commits through commit_remote_unit. Job is opaque outside this class;
-  // the handle only keeps the job alive and identifies it on re-entry.
+  // ----------------------------------------------------- unit pipeline ----
+  // Every unit of every job goes claim -> run -> commit | fail | return,
+  // whoever runs it. A local worker runs the unit on the owning tenant's
+  // in-process Session; a ShardFleet slot (coordinator role) leases it to a
+  // shard daemon and reads the rows back. Both resolve the claim through
+  // the same three calls below (the shard tests drive them directly).
+  // A Lease is the claim ticket. Job is opaque outside this class; the
+  // handle only keeps the job alive and identifies it on re-entry.
 
   struct Lease {
     std::shared_ptr<Job> job;  ///< opaque; pass back unchanged
@@ -176,13 +167,11 @@ class Server {
     bool stolen = false;  ///< duplicate-dispatch of an in-flight unit
   };
 
-  /// Block until a unit is dispatchable (round-robin fair across jobs, same
-  /// policy as the local fleet) or the server stops (nullopt). When nothing
-  /// is pending and `allow_steal`, duplicate-claims an in-flight unit with
-  /// a single live lease instead of waiting — tail stealing.
+  /// Block until a unit is dispatchable (round-robin fair across jobs) or
+  /// the server stops (nullopt). When nothing is pending and `allow_steal`,
+  /// duplicate-claims an in-flight unit with a single live lease instead of
+  /// waiting — tail stealing (shard slots only; local workers never steal).
   [[nodiscard]] std::optional<Lease> claim_for_dispatch(bool allow_steal);
-  /// Non-blocking claim (never steals) — lease-batch extension.
-  [[nodiscard]] std::optional<Lease> try_claim_for_dispatch();
   /// Non-blocking claim of a pending unit from the SAME job and scenario as
   /// a lease this caller already holds (never steals). Scenario-affine
   /// dispatch: a scenario's estimator is cached per serving thread and is
@@ -192,24 +181,25 @@ class Server {
   /// scenarios travel together.
   [[nodiscard]] std::optional<Lease> try_claim_sibling(const Lease& held);
 
-  enum class RemoteCommit {
-    Committed,  ///< rows durably merged and published
+  enum class LeaseCommit {
+    Committed,  ///< rows durably committed and published
     Duplicate,  ///< another lease of the unit won; rows dropped (byte-equal
                 ///< by purity, so nothing is lost)
     Stopped,    ///< server stopping; nothing written (kill -9 contract)
-    Failed,     ///< coordinator-side checkpoint write failed; job failed
+    Failed,     ///< checkpoint write failed; the job failed
   };
-  /// Durably commit one completed lease: append `rows` to the coordinator's
+  /// Durably commit one completed lease: append `rows` to the job's
   /// checkpoint and publish them to `results` readers, exactly once per
   /// unit no matter how many leases of it complete. `claimed_us` (steady
   /// clock at claim, 0 = no obs) feeds the tenant unit-service histogram.
-  RemoteCommit commit_remote_unit(const Lease& lease, std::vector<std::string> rows,
-                                  std::uint64_t claimed_us);
+  /// The commit that completes a job flushes the tenant's persistent store.
+  LeaseCommit commit_lease(const Lease& lease, std::vector<std::string> rows,
+                           std::uint64_t claimed_us);
   /// Lease expiry (shard death, transport error): re-queue the unit unless
   /// another live lease still covers it or it already committed.
   void return_lease(const Lease& lease);
-  /// Unit EXECUTION failure on the shard (not transport): fail the job,
-  /// mirroring a local worker's failure path.
+  /// Unit EXECUTION failure (not transport): fail the job and release the
+  /// lease as return_lease does.
   void fail_lease(const Lease& lease, const std::string& error);
 
   /// The shard fleet when running as a coordinator, else nullptr (counter
@@ -231,19 +221,23 @@ class Server {
 
  private:
   void load_existing_jobs();
+  /// Claim -> run on the tenant's in-process Session -> commit or fail.
   void worker_loop();
-  /// nullptr when no unit is currently dispatchable.
-  std::shared_ptr<Job> claim_unit(std::size_t& unit_out);
   /// Caller holds mu_. Perform the DRAINING eviction if the tenant is
   /// draining and idle; returns true when dispatch of this tenant's units
   /// may proceed (i.e. the tenant is no longer draining).
   bool evict_if_drained(Tenant& tenant);
-  /// Claim under mu_ (caller holds it); shared body of the dispatch calls.
+  /// Claim under mu_ (caller holds it): the next pending unit round-robin
+  /// across jobs, else (with `allow_steal`) steal_locked().
   std::optional<Lease> claim_locked(bool allow_steal);
   /// Steal candidate under mu_: an in-flight unit with exactly one live
   /// lease, round-robin fair across jobs. nullopt when nothing qualifies.
   std::optional<Lease> steal_locked();
-  Lease make_lease(const std::shared_ptr<Job>& job, std::size_t unit, bool stolen);
+  /// Caller holds mu_: mark a pending unit in flight under its first lease.
+  Lease take_locked(const std::shared_ptr<Job>& job, std::size_t unit);
+  /// Caller holds mu_: drop one live lease of an in-flight unit, which goes
+  /// back to pending when it was the last; then wake waiters.
+  void release_locked(const Lease& lease);
   void finalize_if_drained(Job& job);
 
   // Request handlers (see protocol.hpp). Each returns the response line;
@@ -256,22 +250,25 @@ class Server {
   std::string handle_register(const util::json::Value& req);
   void handle_results(const util::json::Value& req, util::LineChannel& ch);
 
-  /// Per-connection lease state: resolved specs keyed by the peer's job
+  /// Per-connection lease state: resolved plans keyed by the peer's job
   /// ref, so one spec transfer covers every later lease of the job on this
   /// connection.
-  struct LeaseContext;
-  using LeaseCache = std::map<std::string, std::shared_ptr<LeaseContext>>;
+  using LeaseCache = std::map<std::string, std::shared_ptr<const Plan>>;
   void handle_lease(const util::json::Value& req, util::LineChannel& ch,
                     LeaseCache& cache);
 
-  /// Empty when `spec` passes the session-level gates (eps,
-  /// shared_chain_stats, record_trace); otherwise the error message.
-  /// Shared by the submit and lease paths.
-  [[nodiscard]] std::string spec_gate_error(const api::ExperimentSpec& spec) const;
+  /// Parse `spec_v` into `spec`, validate it and apply the session-level
+  /// gates (eps, shared_chain_stats, record_trace). Empty on success,
+  /// otherwise the error message. Shared by the submit and lease paths.
+  [[nodiscard]] std::string parse_spec(const util::json::Value& spec_v,
+                                       api::ExperimentSpec& spec) const;
+  /// Resolve `spec` for execution under `tenant`'s quota. The one place a
+  /// spec becomes runnable, for jobs and leases alike.
+  [[nodiscard]] Plan make_plan(std::string tenant, api::ExperimentSpec spec) const;
+  [[nodiscard]] const TenantQuota& quota_for(const std::string& tenant) const;
 
-  std::string register_job(const std::string& job_id, const std::string& tenant_name,
-                           api::ExperimentSpec spec, std::unique_ptr<JobCheckpoint> ckpt,
-                           bool fresh);
+  void register_job(const std::string& job_id, Plan plan,
+                    std::unique_ptr<JobCheckpoint> ckpt, bool fresh);
   Tenant& tenant_for(const std::string& name);  ///< caller holds mu_
   std::string status_line(const Job& job) const;
 
@@ -280,7 +277,7 @@ class Server {
   struct FleetState {
     std::size_t queue_depth = 0;     ///< pending units of dispatchable jobs
     std::size_t inflight_units = 0;  ///< claimed, not yet committed
-    std::size_t busy_workers = 0;    ///< workers currently inside a unit
+    std::size_t busy_workers = 0;    ///< local workers currently inside a unit
   };
   [[nodiscard]] FleetState fleet_state() const;
   /// Push fleet_state() into the obs gauges (caller holds mu_). Called at
@@ -300,7 +297,6 @@ class Server {
   std::set<std::string> reserved_ids_;  ///< submit in progress, not yet in jobs_
   std::size_t rr_cursor_ = 0;
   std::size_t next_job_number_ = 1;
-  std::size_t busy_workers_ = 0;  ///< workers between claim and publish
   std::map<std::string, std::unique_ptr<Tenant>> tenants_;
 
   // Fleet-level gauges (registered once in the constructor; set under mu_).

@@ -8,14 +8,16 @@
 //
 //   claim a unit from the coordinator's queue (blocking; round-robin fair
 //   across jobs, exactly the local fleet's policy) -> lease it to the shard
-//   -> stream the unit's result rows back -> Server::commit_remote_unit.
+//   -> stream the unit's result rows back -> Server::commit_lease.
 //
 // Nothing is partitioned up front: a fast shard simply claims more often,
 // so slot-cap-bound straggler units never serialize the tail. When the
 // queue is empty an idle slot may STEAL — duplicate-lease an in-flight unit
 // held by exactly one other lease; rows are pure functions of (spec, unit),
 // so whichever lease finishes first commits and the loser's bytes are
-// dropped unread (Server::RemoteCommit::Duplicate).
+// dropped unread (Server::LeaseCommit::Duplicate). Claim, commit, fail and
+// return are the Server's unit pipeline, shared with its local workers; a
+// slot differs from a worker only in that the unit runs on a shard.
 //
 // Failure model: a dead connection (shard crash, kill -9, network cut) or
 // a missed heartbeat deadline expires every lease the slot held —
@@ -81,14 +83,15 @@ class ShardFleet {
 
   void monitor_loop(Shard& shard);
   void slot_loop(Shard& shard);
-  /// One lease round on an established connection: claim (blocking), send,
-  /// stream rows, commit. False = transport trouble, reconnect.
+  /// One lease round on an established connection: claim (blocking) one
+  /// unit plus its pending scenario siblings, send, stream rows, commit.
+  /// Every claimed lease resolves exactly once (commit, fail or return).
+  /// False = transport trouble, reconnect.
   bool lease_round(Shard& shard, util::LineChannel& ch,
                    std::vector<std::string>& sent_specs);
   void set_live(Shard& shard, bool live);
-  /// Create the slot threads once the shard's first registration succeeds.
-  /// Slot count = slots_per_shard option, or the shard's advertised worker
-  /// thread count when the option is 0 (clamped to [1, 64]).
+  /// Create the slot threads once the shard's first registration succeeds:
+  /// one per advertised worker thread, clamped to [1, 64].
   void spawn_slots(Shard& shard, std::size_t advertised_threads);
   /// Interruptible sleep; false when the fleet is stopping.
   bool sleep_ms(long ms);
@@ -98,9 +101,6 @@ class ShardFleet {
   // ShardOptions lives in server.hpp (which includes this header), so the
   // fields are copied rather than the struct embedded.
   std::vector<std::string> initial_shards_;
-  std::size_t slots_per_shard_;
-  std::size_t lease_batch_;
-  bool steal_;
   long heartbeat_interval_ms_;
   long heartbeat_timeout_ms_;
 

@@ -3,30 +3,46 @@
 // and the no-checkpoint contract for leased units), the coordinator's
 // merge — byte-identical to a single-process run, with the merged commit
 // order equal to rows.jsonl order so `results --from=N` offsets stay
-// stable — exactly-once commit under duplicate (stolen) lease completion,
-// lease expiry + re-dispatch when a shard dies mid-job, and coordinator
-// restart resuming a sharded job on the same checkpoint root.
+// stable — exactly-once commit under duplicate (stolen) lease completion
+// and under a rejected lease whose stolen twin still runs, lease expiry +
+// re-dispatch when a shard dies mid-job, a unit that fails to execute
+// failing its job alike on a plain daemon and through a shard, and
+// coordinator restart resuming a sharded job on the same checkpoint root.
 //
 // Shards here are real in-process Servers behind real unix listen sockets
 // — the coordinator's fleet connects through the same connect_address path
 // the daemon uses, so the full transport (framing, spec resend, row
-// streaming, fd shutdown on death) is exercised, not a mock.
+// streaming, fd shutdown on death) is exercised, not a mock. One test
+// scripts a shard by hand (ScriptedShard) to order a rejection and a
+// stolen twin's rows deterministically.
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "api/api.hpp"
 #include "api/spec_json.hpp"
+#include "expt/runner.hpp"
+#include "scen/family.hpp"
+#include "scen/registry.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/shard.hpp"
@@ -34,6 +50,8 @@
 #include "util/socket.hpp"
 
 namespace api = tcgrid::api;
+namespace platform = tcgrid::platform;
+namespace scen = tcgrid::scen;
 namespace serve = tcgrid::serve;
 namespace util = tcgrid::util;
 namespace json = tcgrid::util::json;
@@ -220,6 +238,122 @@ serve::ServerOptions coordinator_opts(const std::string& tag,
   return opts;
 }
 
+/// A hand-scripted shard on a real unix socket: answers `register` (with
+/// the given eps and worker-thread count) and `heartbeat` like a stock
+/// daemon, and passes every `lease` request to `on_lease` on that
+/// connection's own thread, to answer however the test needs.
+class ScriptedShard {
+ public:
+  using OnLease = std::function<void(util::LineChannel&)>;
+
+  ScriptedShard(std::string socket_path, double eps, std::size_t threads, OnLease on_lease)
+      : socket(std::move(socket_path)),
+        eps_(eps),
+        threads_(threads),
+        on_lease_(std::move(on_lease)),
+        listen_fd_(util::listen_unix(socket)),
+        acceptor_([this] { accept_loop(); }) {}
+  ~ScriptedShard() {
+    stopping_ = true;
+    acceptor_.join();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (const util::Fd& fd : conn_fds_) ::shutdown(fd.get(), SHUT_RDWR);
+    }
+    for (std::thread& t : conn_threads_) t.join();
+  }
+
+  const std::string socket;
+
+ private:
+  void accept_loop() {
+    while (!stopping_) {
+      pollfd pfd{listen_fd_.get(), POLLIN, 0};
+      if (::poll(&pfd, 1, 50) <= 0) continue;
+      util::Fd conn = util::accept_connection(listen_fd_.get());
+      if (!conn.valid()) continue;
+      std::lock_guard<std::mutex> lock(mu_);
+      const int fd = conn.get();
+      conn_fds_.push_back(std::move(conn));
+      conn_threads_.emplace_back([this, fd] { serve(fd); });
+    }
+  }
+
+  void serve(int fd) {
+    util::LineChannel ch(fd);
+    std::string line;
+    while (ch.read_line(line)) {
+      std::string op;
+      try {
+        op = json::parse(line).find("op")->as_string();
+      } catch (const std::exception&) {
+        ADD_FAILURE() << "unparseable request: " << line;
+        return;
+      }
+      if (op == "register") {
+        ch.write_line(json::dump(json::Object{{"ok", true},
+                                              {"type", "registered"},
+                                              {"threads", static_cast<unsigned long long>(threads_)},
+                                              {"eps", eps_},
+                                              {"coordinator", false}}));
+      } else if (op == "heartbeat") {
+        ch.write_line(json::dump(json::Object{{"ok", true}, {"type", "pong"}}));
+      } else if (op == "lease") {
+        on_lease_(ch);
+      } else {
+        ch.write_line(json::dump(json::Object{{"ok", false}, {"error", "op: unscripted"}}));
+      }
+    }
+  }
+
+  const double eps_;
+  const std::size_t threads_;
+  const OnLease on_lease_;
+  util::Fd listen_fd_;
+  std::atomic<bool> stopping_{false};
+  std::mutex mu_;
+  std::vector<util::Fd> conn_fds_;  ///< closed only after every thread joined
+  std::vector<std::thread> conn_threads_;
+  std::thread acceptor_;
+};
+
+/// Markov availability, except that make_source throws for every trial of
+/// one scenario (recognized by its trial seeds): a unit that fails to
+/// execute on whichever daemon runs it.
+class PoisonedFamily final : public scen::AvailabilityFamily {
+ public:
+  static constexpr const char* kError = "poisoned scenario";
+
+  PoisonedFamily(std::string name, std::set<std::uint64_t> seeds)
+      : name_(std::move(name)), base_(scen::make_markov_family()), seeds_(std::move(seeds)) {}
+
+  [[nodiscard]] const std::string& name() const override { return name_; }
+  [[nodiscard]] std::unique_ptr<platform::AvailabilitySource> make_source(
+      const platform::Platform& platform, std::uint64_t seed,
+      platform::InitialStates init) const override {
+    if (seeds_.count(seed) != 0) throw std::runtime_error(kError);
+    return base_->make_source(platform, seed, init);
+  }
+
+ private:
+  std::string name_;
+  std::shared_ptr<const scen::AvailabilityFamily> base_;
+  std::set<std::uint64_t> seeds_;
+};
+
+/// Poll `counters` until `tenant`'s in-flight unit count reads 0 or ten
+/// seconds pass; returns the last reading.
+std::uint64_t drained_inflight(Client& client, const std::string& tenant) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (true) {
+    const json::Value counters = client.roundtrip(serve::counters_request());
+    const std::uint64_t inflight =
+        counters.find("tenants")->find(tenant)->find("inflight")->as_uint();
+    if (inflight == 0 || std::chrono::steady_clock::now() > deadline) return inflight;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+}
+
 TEST(Shard, StockServerSpeaksTheShardVerbs) {
   serve::ServerOptions opts = shard_opts("verbs");
   Daemon shard(opts, fresh_root("verbs_sock") + ".sock");
@@ -354,7 +488,11 @@ TEST(Shard, DuplicateLeaseCompletionCommitsExactlyOnce) {
     EXPECT_FALSE(lease->stolen);
     leases.push_back(std::move(*lease));
   }
-  EXPECT_FALSE(coord.server->try_claim_for_dispatch().has_value());
+  // Nothing is pending: the fleet block counts every unit in flight.
+  const json::Value before = client.roundtrip(serve::counters_request());
+  ASSERT_TRUE(is_ok(before));
+  EXPECT_EQ(before.find("fleet")->find("queue_depth")->as_uint(), 0u);
+  EXPECT_EQ(before.find("fleet")->find("inflight_units")->as_uint(), units);
 
   auto stolen = coord.server->claim_for_dispatch(/*allow_steal=*/true);
   ASSERT_TRUE(stolen.has_value());
@@ -362,13 +500,12 @@ TEST(Shard, DuplicateLeaseCompletionCommitsExactlyOnce) {
   const std::size_t victim = stolen->unit;
 
   // The stolen (duplicate) lease wins the race; the original must dedup.
-  EXPECT_EQ(coord.server->commit_remote_unit(*stolen, rows_of.at(victim), 0),
-            serve::Server::RemoteCommit::Committed);
+  EXPECT_EQ(coord.server->commit_lease(*stolen, rows_of.at(victim), 0),
+            serve::Server::LeaseCommit::Committed);
   for (const auto& lease : leases) {
-    const auto rc =
-        coord.server->commit_remote_unit(lease, rows_of.at(lease.unit), 0);
-    EXPECT_EQ(rc, lease.unit == victim ? serve::Server::RemoteCommit::Duplicate
-                                       : serve::Server::RemoteCommit::Committed);
+    const auto rc = coord.server->commit_lease(lease, rows_of.at(lease.unit), 0);
+    EXPECT_EQ(rc, lease.unit == victim ? serve::Server::LeaseCommit::Duplicate
+                                       : serve::Server::LeaseCommit::Committed);
   }
 
   const auto status = coord.server->wait_job("sweep");
@@ -412,7 +549,7 @@ TEST(Shard, SiblingClaimsStayInsideTheScenario) {
   // The scenario is exhausted: no fourth sibling, even though other
   // scenarios still have pending units (a fresh claim finds one).
   EXPECT_FALSE(coord.server->try_claim_sibling(held.back()).has_value());
-  auto next = coord.server->try_claim_for_dispatch();
+  auto next = coord.server->claim_for_dispatch(/*allow_steal=*/false);
   ASSERT_TRUE(next.has_value());
   EXPECT_NE(api::unit_scenario(next->unit, spec.trials), scenario);
 
@@ -421,6 +558,110 @@ TEST(Shard, SiblingClaimsStayInsideTheScenario) {
   coord.server->return_lease(*next);
   for (const auto& lease : held) coord.server->return_lease(lease);
   EXPECT_EQ(coord.server->job_status("sweep")->state, "running");
+}
+
+TEST(Shard, RejectedLeaseResolvesOnceWhileItsStolenTwinRuns) {
+  // A one-unit job on a scripted 2-thread shard: one slot claims the unit,
+  // the other steals it. The shard rejects the first lease that arrives
+  // and answers the twin with rows only after the coordinator failed the
+  // job. The rejected lease must resolve exactly once — releasing it twice
+  // re-queues the unit under the running twin, and the twin's commit then
+  // drives the in-flight counters below zero.
+  api::ExperimentSpec spec = tiny_spec(/*trials=*/1, /*wmin_count=*/1);
+  spec.grid.scenarios_per_cell = 1;
+  ASSERT_EQ(spec.unit_count(), 1u);
+  const std::vector<std::string> rows = reference_rows(spec, "reject_ref");
+  ASSERT_EQ(rows.size(), 2u);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  int leases = 0;
+  bool release_twin = false;
+  auto on_lease = [&](util::LineChannel& ch) {
+    std::unique_lock<std::mutex> lock(mu);
+    const int nth = ++leases;
+    cv.notify_all();
+    if (nth == 1) {
+      cv.wait_for(lock, std::chrono::seconds(10), [&] { return leases >= 2; });
+      lock.unlock();
+      ch.write_line(R"({"ok":false,"error":"lease rejected by script"})");
+      return;
+    }
+    cv.wait_for(lock, std::chrono::seconds(10), [&] { return release_twin; });
+    lock.unlock();
+    ch.write_line(R"({"ok":true,"type":"unit","unit":0,"rows":2})");
+    for (const std::string& row : rows) ch.write_line(row);
+    ch.write_line(R"({"ok":true,"type":"lease_done","units":1})");
+  };
+  ScriptedShard shard(fresh_root("reject_shard") + ".sock", serve::ServerOptions{}.eps,
+                      /*threads=*/2, on_lease);
+  Daemon coord(coordinator_opts("reject_coord", {shard.socket}),
+               fresh_root("reject_coord_sock") + ".sock");
+  Client client(coord.socket);
+  ASSERT_TRUE(is_ok(client.submit(spec, "alice", "one")));
+
+  const auto status = coord.server->wait_job("one");
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(status->state, "failed");
+  EXPECT_EQ(status->error, "lease rejected by script");
+  // Give the rejecting slot time to finish resolving its batch, then let
+  // the twin's rows in.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release_twin = true;
+  }
+  cv.notify_all();
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (coord.server->job_status("one")->units_done < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(coord.server->job_status("one")->units_done, 1u) << "the twin never committed";
+  EXPECT_EQ(drained_inflight(client, "alice"), 0u);
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(leases, 2);
+}
+
+TEST(Shard, UnitExecutionFailureFailsTheJobAlikeLocallyAndThroughAShard) {
+  // One scenario's units throw inside Session::run_unit. A plain daemon
+  // (local workers) and a coordinator over one in-process shard (the
+  // unit_failed path) must agree: the job fails with the thrown message,
+  // the scenario contributes no rows to the checkpoint, and every other
+  // in-flight unit of the failed job still resolves.
+  api::ExperimentSpec spec = tiny_spec(/*trials=*/2);  // 4 scenarios
+  spec.scenario_space.availability = "shard-test-poisoned";
+  const std::size_t poisoned = 1;
+  const platform::Scenario victim =
+      scen::platform_family("paper")->make(spec.scenarios()[poisoned]);
+  std::set<std::uint64_t> seeds;
+  for (int t = 0; t < spec.trials; ++t) seeds.insert(tcgrid::expt::trial_seed(victim, t));
+  scen::register_availability_family(
+      std::make_shared<PoisonedFamily>("shard-test-poisoned", seeds));
+
+  auto expect_failed = [&](Daemon& front, const std::string& root, const std::string& where) {
+    Client client(front.socket);
+    const json::Value ack = client.submit(spec, "alice", "sweep");
+    ASSERT_TRUE(is_ok(ack)) << where << ": " << error_of(ack);
+    const auto status = front.server->wait_job("sweep");
+    ASSERT_TRUE(status.has_value()) << where;
+    EXPECT_EQ(status->state, "failed") << where;
+    EXPECT_EQ(status->error, PoisonedFamily::kError) << where;
+    EXPECT_EQ(drained_inflight(client, "alice"), 0u) << where;
+    for (const std::string& row : file_rows(root + "/sweep/rows.jsonl")) {
+      EXPECT_NE(json::parse(row).find("scenario")->as_uint(), poisoned) << where << ": " << row;
+    }
+  };
+
+  {
+    const serve::ServerOptions opts = shard_opts("fail_local");
+    Daemon local(opts, fresh_root("fail_local_sock") + ".sock");
+    expect_failed(local, opts.root, "local workers");
+  }
+  Daemon shard(shard_opts("fail_shard"), fresh_root("fail_shard_sock") + ".sock");
+  const serve::ServerOptions copts = coordinator_opts("fail_coord", {shard.socket});
+  Daemon coord(copts, fresh_root("fail_coord_sock") + ".sock");
+  expect_failed(coord, copts.root, "coordinator");
 }
 
 TEST(Shard, ShardDeathMidJobExpiresLeasesAndStaysByteIdentical) {

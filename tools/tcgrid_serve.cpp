@@ -9,7 +9,9 @@
 //   tcgrid_serve --socket /tmp/tcgrid.sock --root /var/lib/tcgrid \
 //                [--threads N] [--eps 1e-6] [--store-dir DIR] \
 //                [--default-quota RB:CB] [--quota tenant=RB:CB]... \
-//                [--no-obs] [--trace PATH]
+//                [--no-obs] [--trace PATH] [--listen-tcp HOST:PORT] \
+//                [--coordinator --shard ADDR... [--heartbeat-ms N] \
+//                 [--heartbeat-timeout-ms N]]
 //
 // RB:CB are the per-tenant realization-budget and chain-store-bytes quotas,
 // as byte counts with an optional k/m/g suffix (e.g. 64m:512m).
@@ -30,10 +32,12 @@
 // local workers — it leases (scenario, trial) units to stock tcgrid_serve
 // shard daemons (--shard, repeatable, unix:PATH or tcp:HOST:PORT; more can
 // join at runtime via the `register` verb) with pull-based work stealing,
-// and merges the streamed rows into its own checkpoint. The client-facing
-// verbs are unchanged, and the merged row set is byte-identical to a
-// single-process run. --listen-tcp accepts the same protocol over TCP —
-// the natural shape for shards on other hosts.
+// and merges the streamed rows into its own checkpoint. Each shard gets one
+// lease slot per worker thread it advertises (its own --threads), and idle
+// slots always tail-steal. The client-facing verbs are unchanged, and the
+// merged row set is byte-identical to a single-process run. --listen-tcp
+// accepts the same protocol over TCP — the natural shape for shards on
+// other hosts.
 //
 // SIGINT/SIGTERM stop the daemon cleanly (in-flight units are abandoned,
 // not committed — exactly the kill -9 contract, just politer to the
@@ -66,15 +70,15 @@ using tcgrid::serve::TenantQuota;
                "          [--store-dir DIR] [--default-quota RB:CB]\n"
                "          [--quota tenant=RB:CB]... [--no-obs] [--trace PATH]\n"
                "          [--listen-tcp HOST:PORT] [--coordinator]\n"
-               "          [--shard ADDR]... [--shard-slots N] [--lease-batch N]\n"
-               "          [--heartbeat-ms N] [--heartbeat-timeout-ms N] [--no-steal]\n"
+               "          [--shard ADDR]... [--heartbeat-ms N] [--heartbeat-timeout-ms N]\n"
                "  RB:CB = realization-budget : chain-store bytes, optional k/m/g suffix\n"
                "  --store-dir enables the shared persistent chain-statistics cache\n"
                "  --no-obs disables metric updates; --trace appends span events to PATH\n"
                "  --listen-tcp also accepts the protocol on a TCP port\n"
                "  --coordinator runs no local workers: units are leased to --shard\n"
                "    daemons (unix:PATH or tcp:HOST:PORT; repeatable, or registered at\n"
-               "    runtime) with work stealing, rows merged byte-identically\n",
+               "    runtime) with work stealing, rows merged byte-identically; one\n"
+               "    lease slot per shard worker thread\n",
                argv0);
   std::exit(2);
 }
@@ -140,11 +144,8 @@ int main(int argc, char** argv) {
       else if (arg == "--listen-tcp") tcp_listen = next();
       else if (arg == "--coordinator") options.coordinator = true;
       else if (arg == "--shard") options.shard.shards.push_back(next());
-      else if (arg == "--shard-slots") options.shard.slots_per_shard = std::stoul(next());
-      else if (arg == "--lease-batch") options.shard.lease_batch = std::stoul(next());
       else if (arg == "--heartbeat-ms") options.shard.heartbeat_interval_ms = std::stol(next());
       else if (arg == "--heartbeat-timeout-ms") options.shard.heartbeat_timeout_ms = std::stol(next());
-      else if (arg == "--no-steal") options.shard.steal = false;
       else usage(argv[0]);
     }
   } catch (const std::exception& e) {

@@ -8,8 +8,8 @@
 //  * --emit_json[=PATH]: the CI perf smoke for the canonical chain-stats
 //    store (DESIGN.md §10) — time cold Estimator construction+evaluate,
 //    warm evaluate and survival-table growth with a shared
-//    markov::ChainStatsStore vs per-estimator private stores (the
-//    Options::shared_chain_stats ablation), verify every estimate is
+//    markov::ChainStatsStore vs estimator-level private stores (an
+//    Estimator built without a store), verify every estimate is
 //    bit-identical between the two, and write the timings plus store hit
 //    rates to BENCH_estimator.json. Exit codes: 0 ok, 2 on any
 //    shared/private divergence (CI fails on it);
@@ -85,7 +85,7 @@ BENCHMARK(BM_RenewalRecursion)->RangeMultiplier(4)->Range(64, 4096)->Complexity(
 
 void BM_EstimatorEvaluate_Cold(benchmark::State& state) {
   // Fresh estimator (private store) every pass: measures uncached set
-  // statistics — the shared_chain_stats=off ablation cost.
+  // statistics — the cost a session's shared store saves.
   platform::ScenarioParams params;
   params.seed = 5;
   const auto scenario = platform::make_scenario(params);
@@ -105,7 +105,7 @@ BENCHMARK(BM_EstimatorEvaluate_Cold)->DenseRange(2, 10, 2);
 void BM_EstimatorEvaluate_ColdSharedStore(benchmark::State& state) {
   // Fresh estimator VIEW per pass over one warm shared store: what a new
   // scenario-cell estimator costs once the session store has seen the
-  // chains (the shared_chain_stats=on steady state).
+  // chains (the session's steady state).
   platform::ScenarioParams params;
   params.seed = 5;
   const auto scenario = platform::make_scenario(params);
@@ -326,7 +326,7 @@ int emit_json(const util::Cli& cli) {
   bool all_identical = true;
   for (const Case& c : cases) {
     // Shared store: session-style, one store for every estimator of the
-    // case. Private: the shared_chain_stats=off ablation.
+    // case. Private: each estimator owns its store (built without one).
     auto store = std::make_shared<markov::ChainStatsStore>(1e-6);
     const ModeTiming shared = time_mode(c.scenario, store, reps);
     const ModeTiming priv = time_mode(c.scenario, nullptr, reps);

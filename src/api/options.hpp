@@ -2,9 +2,13 @@
 //
 // Every engine, realization, estimator and execution knob of a sweep lives
 // here; Session derives the engine's view (sim::EngineOptions) at the point
-// of use. expt::RunOptions is not an alias of these options: it is the
-// minimal input of expt::run_trial, the independent single-run oracle the
-// Session equivalence tests compare against.
+// of use. The chain-statistics store (DESIGN.md §10) is not a knob: a
+// Session always shares one markov::ChainStatsStore across every estimator
+// it builds (a bare sched::Estimator still owns a private one — the
+// reference the store-identity tests compare against). expt::RunOptions is
+// not an alias of these options: it is the minimal input of
+// expt::run_trial, the independent single-run oracle the Session
+// equivalence tests compare against.
 #pragma once
 
 #include <cstddef>
@@ -43,22 +47,10 @@ struct Options {
   // --- estimator -----------------------------------------------------------
   double eps = 1e-6;  ///< truncation precision of the §V series
 
-  // --- shared chain statistics (DESIGN.md §10) ------------------------------
-  /// Share one markov::ChainStatsStore across every estimator the session
-  /// builds: UR sub-matrices are interned by content, and the §V series math
-  /// — per-chain survival tables, per-chain and multiset-keyed coupled
-  /// statistics — is computed once per DISTINCT chain for all processors,
-  /// heuristics, trials, scenario cells and worker threads (on a homogeneous
-  /// platform, one entry per set size instead of p-choose-k). Results are
-  /// bit-identical on and off (enforced by tests and the bench_estimator
-  /// divergence gate); false gives every estimator a private store — the
-  /// ablation baseline matching the old per-estimator caches.
-  bool shared_chain_stats = true;
-
   // --- persistent chain statistics (DESIGN.md §14) --------------------------
   /// Directory of the disk-backed content-addressed chain-statistics cache
   /// (markov::PersistentChainStats). Empty (the default) = no persistence —
-  /// the in-memory-only behavior above, and the ablation baseline. When
+  /// the in-memory session store only, and the ablation baseline. When
   /// set, the session's shared store is layered over mmap'd generation
   /// files in this directory: store misses consult disk first (survival
   /// tables are served straight from the read-only mapping), computed
@@ -68,8 +60,7 @@ struct Options {
   /// store (every persisted double is a pure function of chain bit content
   /// + eps; enforced by tests and the bench_estimator store gate).
   ///
-  /// Session-level, like eps and shared_chain_stats (the store is built
-  /// once per session): requires shared_chain_stats and a matching eps;
+  /// Session-level, like eps (the store is built once per session):
   /// ExperimentSpec::options.store_dir is ignored by Session::run, and the
   /// field is deliberately NOT part of the spec JSON wire format.
   std::string store_dir;

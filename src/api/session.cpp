@@ -90,18 +90,11 @@ void flush_engine_telemetry(const sim::Engine& engine) {
 }  // namespace
 
 Session::Session(Options options) : options_(std::move(options)) {
-  if (!options_.store_dir.empty() && !options_.shared_chain_stats) {
-    throw std::invalid_argument(
-        "Session: store_dir requires shared_chain_stats (a persistent cache "
-        "backs the session store; private per-estimator stores have none)");
-  }
   if (!options_.store_dir.empty()) {
     persist_ = std::make_shared<markov::PersistentChainStats>(options_.store_dir,
                                                               options_.eps);
   }
-  if (options_.shared_chain_stats) {
-    chain_store_ = std::make_shared<markov::ChainStatsStore>(options_.eps, persist_);
-  }
+  chain_store_ = std::make_shared<markov::ChainStatsStore>(options_.eps, persist_);
 }
 
 Session::~Session() {
@@ -116,7 +109,8 @@ Session::~Session() {
 }
 
 std::size_t Session::flush_store() {
-  // Copy both pointers under the cache mutex (clear_caches() swaps the
+  if (persist_ == nullptr) return 0;
+  // Copy the store pointer under the cache mutex (clear_caches() swaps the
   // in-memory store under the same lock); the flush itself runs unlocked —
   // it serializes internally and snapshots concurrently mutated entries.
   std::shared_ptr<markov::ChainStatsStore> store;
@@ -124,7 +118,6 @@ std::size_t Session::flush_store() {
     const std::lock_guard<std::mutex> lock(cache_mutex_);
     store = chain_store_;
   }
-  if (persist_ == nullptr || store == nullptr) return 0;
   return persist_->flush_from(*store);
 }
 
@@ -175,21 +168,12 @@ void Session::clear_caches() {
   flush_store();
   const std::lock_guard<std::mutex> lock(cache_mutex_);
   caches_.clear();
-  if (chain_store_ != nullptr) {
-    // The estimators holding the old store are gone with the caches; a
-    // fresh store releases its survival tables and set entries (the bulk of
-    // a hot sweep's estimator memory). The persistent layer survives the
-    // swap — mapped generations (and pointers the old store served from
-    // them) stay alive for the session's lifetime.
-    chain_store_ = std::make_shared<markov::ChainStatsStore>(options_.eps, persist_);
-  }
-}
-
-void Session::drop_estimator_caches() {
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  // Estimators go, the store stays: reconstruction re-interns every chain
-  // against the retained entries instead of recomputing them.
-  caches_.clear();
+  // The estimators holding the old store are gone with the caches; a fresh
+  // store releases its survival tables and set entries (the bulk of a hot
+  // sweep's estimator memory). The persistent layer survives the swap —
+  // mapped generations (and pointers the old store served from them) stay
+  // alive for the session's lifetime.
+  chain_store_ = std::make_shared<markov::ChainStatsStore>(options_.eps, persist_);
 }
 
 markov::ChainStatsStore::Counters Session::chain_store_counters() {
@@ -202,7 +186,6 @@ markov::ChainStatsStore::Counters Session::chain_store_counters() {
     const std::lock_guard<std::mutex> lock(cache_mutex_);
     store = chain_store_;
   }
-  if (store == nullptr) return {};
   return store->counters();
 }
 
@@ -474,7 +457,7 @@ Session::RunStats Session::run(const ExperimentSpec& spec,
 
   // Quiesce point: every unit is done (or skipped), so persist the sweep's
   // newly computed chain statistics as one generation.
-  if (persist_ != nullptr) flush_store();
+  flush_store();
 
   RunStats stats;
   stats.scenarios = scenarios.size();

@@ -57,10 +57,10 @@ class Session {
  public:
   /// Options for single-run calls (run_trial / run_custom) and the defaults
   /// a sweep falls back to. ExperimentSpec::options wins inside run().
-  /// options.store_dir opens (creating if needed) the persistent
-  /// chain-statistics cache and layers the session store over it (DESIGN.md
-  /// §14); throws std::invalid_argument when store_dir is set with
-  /// shared_chain_stats off (there is no session store to back).
+  /// Every estimator the session builds shares one chain-statistics store
+  /// (DESIGN.md §10). options.store_dir opens (creating if needed) the
+  /// persistent chain-statistics cache and layers that store over it
+  /// (DESIGN.md §14).
   explicit Session(Options options = {});
 
   /// Flushes the persistent store (best effort) and releases the caches.
@@ -187,47 +187,25 @@ class Session {
   /// share it with another thread.
   [[nodiscard]] const sched::Estimator& estimator_for(const platform::ScenarioParams& params);
 
-  /// Drop every thread's cached scenario/estimator entries, and (when
-  /// options().shared_chain_stats) replace the shared chain-statistics
-  /// store with a fresh one — the store's survival tables and set entries
-  /// are where a long sweep's estimator memory actually lives. A long-lived
-  /// session that sweeps many scenario populations otherwise retains one
-  /// estimator per (thread, scenario) forever; call this between sweeps
-  /// (cells) to bound memory. MUST NOT run concurrently with run /
-  /// run_trial / scenario_for / estimator_for — references returned by
-  /// those calls are invalidated.
+  /// Drop every thread's cached scenario/estimator entries and replace the
+  /// shared chain-statistics store with a fresh one — the store's survival
+  /// tables and set entries are where a long sweep's estimator memory
+  /// actually lives. A long-lived session that sweeps many scenario
+  /// populations otherwise retains one estimator per (thread, scenario)
+  /// forever; call this between sweeps (cells) to bound memory. MUST NOT
+  /// run concurrently with run / run_trial / scenario_for / estimator_for
+  /// — references returned by those calls are invalidated.
   void clear_caches();
-
-  /// Drop every thread's cached scenario/estimator entries but RETAIN the
-  /// shared chain-statistics store: the next run rebuilds estimators whose
-  /// every chain interns into a hit and whose set quads are already
-  /// memoized. This is the serve daemon's resubmit shape (a new connection
-  /// thread, a warm session) isolated as a primitive — bench_sweep's warm
-  /// pass drives it to measure cross-request warmth, which within-sweep
-  /// counters structurally cannot show (DESIGN.md §10). Same concurrency
-  /// contract as clear_caches().
-  void drop_estimator_caches();
 
   /// Observability of the session-shared chain-statistics store (DESIGN.md
   /// §10): distinct chains interned, intern dedup hits, multiset set-stats
   /// entries/hits/misses, published survival entries and resident bytes —
   /// the byte accounting counterpart of Options::realization_budget's
-  /// budget, reported alongside cached_entries(). All zeros when
-  /// shared_chain_stats is off (each estimator then owns a private store).
-  /// Counters are cumulative until clear_caches() resets the store. Safe
-  /// to call from any thread at any time (the store pointer is read under
-  /// the cache mutex; the store itself is thread-safe).
+  /// budget, reported alongside cached_entries(). Counters are cumulative
+  /// until clear_caches() resets the store. Safe to call from any thread at
+  /// any time (the store pointer is read under the cache mutex; the store
+  /// itself is thread-safe).
   [[nodiscard]] markov::ChainStatsStore::Counters chain_store_counters();
-
-  /// The session-shared store itself (nullptr when shared_chain_stats is
-  /// off). Exposed for tests and benches; production code observes it
-  /// through chain_store_counters(). Unlike that accessor, this returns a
-  /// reference to the member: it MUST NOT be called concurrently with
-  /// clear_caches(), which reassigns it.
-  [[nodiscard]] const std::shared_ptr<markov::ChainStatsStore>& chain_store()
-      const noexcept {
-    return chain_store_;
-  }
 
   /// Persist every newly computed chain-store entry to options().store_dir
   /// as one atomic generation (markov::PersistentChainStats::flush_from);
@@ -276,8 +254,7 @@ class Session {
   /// (otherwise a later family could be allocated at the same address and
   /// alias the key).
   struct ScenarioEntry {
-    /// `store`: the session's shared chain-statistics store, or nullptr for
-    /// a private per-estimator store (shared_chain_stats ablated).
+    /// `store`: the session's shared chain-statistics store.
     ScenarioEntry(std::shared_ptr<const scen::PlatformFamily> family,
                   const platform::ScenarioParams& params, double eps,
                   std::shared_ptr<markov::ChainStatsStore> store);
@@ -330,10 +307,10 @@ class Session {
   /// point (eviction drops heap bytes, disk generations keep the warmth).
   std::shared_ptr<markov::PersistentChainStats> persist_;
 
-  /// One store per session (created when options_.shared_chain_stats),
-  /// handed to every estimator the session builds and shared by all pool
-  /// workers of run(). Replaced wholesale by clear_caches() — estimators
-  /// keep their store alive via shared_ptr, so a reset cannot strand one.
+  /// One store per session, handed to every estimator the session builds
+  /// and shared by all pool workers of run(). Replaced wholesale by
+  /// clear_caches() — estimators keep their store alive via shared_ptr, so
+  /// a reset cannot strand one.
   std::shared_ptr<markov::ChainStatsStore> chain_store_;
 
   std::mutex cache_mutex_;  ///< guards the per-thread cache directory only

@@ -60,7 +60,6 @@ json::Value options_to_json(const Options& o) {
       {"fast_forward", o.fast_forward},
       {"realization_budget", static_cast<unsigned long long>(o.realization_budget)},
       {"eps", o.eps},
-      {"shared_chain_stats", o.shared_chain_stats},
       {"init", init_name(o.init)},
       {"threads", static_cast<unsigned long long>(o.threads)},
       {"seed", o.seed},
@@ -232,10 +231,12 @@ Options parse_options(const Field& f) {
     // restart. Still range-checked, so 0 or -3 fails at its dotted path.
     else if (key == "trial_batch")
       (void)get_int(m, 1, std::numeric_limits<int>::max());
+    // Retired the same way: the session always shares its chain store, and
+    // older manifests always carry "shared_chain_stats":true.
+    else if (key == "shared_chain_stats") (void)get_bool(m);
     else if (key == "realization_budget")
       o.realization_budget = static_cast<std::size_t>(get_u64(m));
     else if (key == "eps") o.eps = get_double(m);
-    else if (key == "shared_chain_stats") o.shared_chain_stats = get_bool(m);
     else if (key == "init") o.init = parse_init(m);
     else if (key == "threads") o.threads = static_cast<std::size_t>(get_u64(m));
     else if (key == "seed") o.seed = get_u64(m);

@@ -23,7 +23,7 @@
 //     stored doubles are a pure function of the multiset — independent of
 //     which caller, thread, or store population got there first. This is the
 //     load-bearing half of the shared-vs-private bit-identity guarantee
-//     (Options::shared_chain_stats; DESIGN.md §10).
+//     (DESIGN.md §10).
 //
 // Concurrency model (the first cross-thread cache in the codebase):
 //   * intern / entry lookup take one store mutex, briefly (no series math

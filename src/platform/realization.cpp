@@ -298,24 +298,4 @@ long Realization::next_change(long from, long limit) {
   return limit;
 }
 
-RealizationView::RealizationView(Realization& realization)
-    : realization_(&realization) {
-  row_.resize(static_cast<std::size_t>(realization_->size()));
-}
-
-markov::State RealizationView::state(int q) const {
-  if (row_slot_ != pos_) {
-    realization_->ensure(pos_ + 1);
-    realization_->expand_rows(pos_, pos_ + 1, row_.data());
-    row_slot_ = pos_;
-  }
-  return row_[static_cast<std::size_t>(q)];
-}
-
-void RealizationView::fill_block(markov::State* buf, long slots) {
-  realization_->ensure(pos_ + slots);
-  realization_->expand_rows(pos_, pos_ + slots, buf);
-  pos_ += slots;
-}
-
 }  // namespace tcgrid::platform

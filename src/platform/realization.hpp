@@ -24,7 +24,11 @@
 //     a few hundred slots against a 10^6 slot cap);
 //   * memory is bounded by a byte budget; crossing it throws
 //     RealizationBudgetExceeded, which api::Session catches to fall back to
-//     live generation (bit-identical, just slower).
+//     live generation (bit-identical, just slower);
+//   * sim::Engine's replay constructor reads rows, digests and
+//     change-to-change jumps straight off the realization. A Realization is
+//     deliberately not an AvailabilitySource: a caller that needs a source
+//     builds a fresh live one from the family, which is bit-identical.
 //
 // Bit-identity: the wrapped source is pulled exclusively through
 // fill_block, whose contract (availability.hpp) guarantees identical draws
@@ -210,29 +214,6 @@ class Realization {
   static constexpr std::size_t kRowMemoSlots = 256;
   mutable std::vector<markov::State> row_memo_;
   mutable std::vector<long> row_memo_tag_;
-};
-
-/// AvailabilitySource adapter over a Realization: the compatibility path
-/// for consumers that take a source (run_custom, recording, tests). Reads
-/// extend the realization on demand, so state()/fill_block can throw
-/// RealizationBudgetExceeded. Views are independent: each starts at slot 0
-/// and tracks its own position; use one view per concurrent consumer is
-/// moot — the shared Realization is single-threaded.
-class RealizationView final : public AvailabilitySource {
- public:
-  explicit RealizationView(Realization& realization);
-
-  [[nodiscard]] int size() const override { return realization_->size(); }
-  [[nodiscard]] markov::State state(int q) const override;
-  void advance() override { ++pos_; }
-  [[nodiscard]] long position() const override { return pos_; }
-  void fill_block(markov::State* buf, long slots) override;
-
- private:
-  Realization* realization_;
-  long pos_ = 0;
-  mutable long row_slot_ = -1;  ///< slot cached in row_ (-1: none)
-  mutable std::vector<markov::State> row_;
 };
 
 }  // namespace tcgrid::platform

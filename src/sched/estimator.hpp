@@ -18,9 +18,10 @@
 // survival tables, set-level coupled statistics keyed by the multiset of
 // chain ids — resolves through the store, computed once per distinct chain
 // (or multiset) no matter how many processors, estimators or threads share
-// it. Pass a session-shared store to share across scenario cells and pool
-// workers (api::Options::shared_chain_stats); omit it and the estimator owns
-// a private store — the ablation baseline, bit-identical by construction.
+// it. api::Session passes its session-shared store to share across scenario
+// cells and pool workers; omit it and the estimator owns a private store —
+// the reference the shared store is tested against, bit-identical by
+// construction.
 //
 // Set-level statistics are additionally front-cached per view by membership
 // bitmask (the platform is fixed per run), so the incremental heuristics'
@@ -164,13 +165,7 @@ class Estimator {
   [[nodiscard]] const platform::Platform& platform() const noexcept { return platform_; }
   [[nodiscard]] const model::Application& app() const noexcept { return app_; }
 
-  /// The store this view resolves through (shared or private).
-  [[nodiscard]] const std::shared_ptr<markov::ChainStatsStore>& chain_store()
-      const noexcept {
-    return store_;
-  }
-
-  /// Canonical id of processor q's availability chain in chain_store().
+  /// Canonical id of processor q's availability chain in the view's store.
   [[nodiscard]] markov::ChainId chain_id(int q) const {
     return chain_of_[static_cast<std::size_t>(q)];
   }

@@ -258,7 +258,7 @@ class Server {
                     LeaseCache& cache);
 
   /// Parse `spec_v` into `spec`, validate it and apply the session-level
-  /// gates (eps, shared_chain_stats, record_trace). Empty on success,
+  /// gates (eps, record_trace). Empty on success,
   /// otherwise the error message. Shared by the submit and lease paths.
   [[nodiscard]] std::string parse_spec(const util::json::Value& spec_v,
                                        api::ExperimentSpec& spec) const;

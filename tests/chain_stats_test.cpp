@@ -11,27 +11,33 @@
 //   * sched::Estimator resolves identically through a shared and a private
 //     store (p_no_down, proc/set stats, full evaluate), for the paper's
 //     heterogeneous platform and for clustered platforms;
-//   * full sweep bit-identity: Options::shared_chain_stats on vs off gives
-//     equal rows for all 25 heuristics across every availability family,
-//     and for the heterogeneous "clusters" platform family;
+//   * full sweep bit-identity: api::Session (one shared store) gives the
+//     rows of a hand-wired private-store reference for all 25 heuristics
+//     across every availability family, and for the heterogeneous
+//     "clusters" platform family;
 //   * eviction of the estimator's set front cache and build memo is
 //     epoch-safe: references held across a cap-triggered eviction keep
 //     reading their values (the historical clear()-dangle hazard);
 //   * api::Session observability: chain_store_counters() populates during
-//     runs, resets with clear_caches(), and stays zero when ablated.
+//     runs and resets with clear_caches(); a second thread rebuilding its
+//     estimators against the warm store interns into hits and reproduces
+//     the first thread's rows.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/api.hpp"
+#include "expt/runner.hpp"
 #include "markov/chain_stats.hpp"
 #include "platform/scenario.hpp"
 #include "platform/semi_markov.hpp"
 #include "scen/scen.hpp"
 #include "sched/registry.hpp"
+#include "sim/engine.hpp"
 
 namespace tcgrid {
 namespace {
@@ -459,40 +465,56 @@ std::vector<std::string> all_heuristics() {
   return names;
 }
 
-TEST(SweepBitIdentity, SharedOnVsOffAllHeuristicsAllFamilies) {
+/// The hand-wired reference run of one (scenario, heuristic, trial): a
+/// caller-owned estimator (private store), the family's live source and
+/// Session::run_unit's scheduler seeding, driven by a bare Engine.
+sim::SimulationResult reference_run(const api::Options& options, const std::string& family,
+                                    const platform::Scenario& scenario,
+                                    const sched::Estimator& estimator,
+                                    const std::string& heuristic, int trial) {
+  auto source = scen::availability_family(family)->make_source(
+      scenario.platform, expt::trial_seed(scenario, trial), options.init);
+  auto scheduler = sched::make_scheduler(
+      heuristic, estimator,
+      util::derive_seed(scenario.params.seed, 2000 + static_cast<std::uint64_t>(trial)));
+  sim::Engine engine(scenario.platform, scenario.app, *source, *scheduler,
+                     options.engine());
+  return engine.run();
+}
+
+TEST(SweepBitIdentity, SessionMatchesPrivateStoreReferenceAllHeuristicsAllFamilies) {
   // Every heuristic x availability family, one paired trial each: the
-  // shared store and the per-estimator private stores must produce the
-  // identical simulation.
+  // session's shared store and a private-store estimator wired by hand must
+  // produce the identical simulation.
   platform::ScenarioParams params;
   params.seed = 33;
   params.wmin = 2;
   params.iterations = 3;
 
-  api::Options on;
-  on.slot_cap = 100'000;
-  api::Options off = on;
-  off.shared_chain_stats = false;
+  api::Options options;
+  options.slot_cap = 100'000;
+  const platform::Scenario scenario = scen::platform_family("paper")->make(params);
 
   const auto heuristics = all_heuristics();
   for (const auto& family : sweep_families()) {
     scen::ScenarioSpace space;
     space.availability = family;
-    api::Session shared(on);
-    api::Session ablated(off);
+    api::Session session(options);
+    const sched::Estimator reference(scenario.platform, scenario.app, options.eps);
     for (const auto& heuristic : heuristics) {
       SCOPED_TRACE(family + " / " + heuristic);
-      const auto a = shared.run_trial(space, params, heuristic, 0);
-      const auto b = ablated.run_trial(space, params, heuristic, 0);
-      expect_identical_results(a, b);
+      expect_identical_results(
+          session.run_trial(space, params, heuristic, 0),
+          reference_run(options, family, scenario, reference, heuristic, 0));
     }
-    EXPECT_GT(shared.chain_store_counters().chains, 0u);
-    EXPECT_EQ(ablated.chain_store_counters().chains, 0u);  // ablated: no store
+    EXPECT_GT(session.chain_store_counters().chains, 0u);
   }
 }
 
-TEST(SweepBitIdentity, ClustersPlatformSweepOnVsOff) {
+TEST(SweepBitIdentity, ClustersPlatformSweepMatchesPrivateStoreReference) {
   // Heterogeneous platform family where chains genuinely repeat across
-  // processors: a full (grid) sweep, shared on vs off, equal rows.
+  // processors: a full (grid) sweep on two threads equals the hand-wired
+  // private-store reference row for row.
   api::ExperimentSpec spec;
   spec.grid.ms = {5};
   spec.grid.ncoms = {5};
@@ -505,33 +527,31 @@ TEST(SweepBitIdentity, ClustersPlatformSweepOnVsOff) {
   spec.options.threads = 2;
   spec.scenario_space.platform = "clusters";
 
-  CollectSink on_sink;
+  CollectSink sink;
   {
     api::Session session(spec.options);
-    session.run(spec, {&on_sink});
+    session.run(spec, {&sink});
     const auto counters = session.chain_store_counters();
     EXPECT_GT(counters.chains, 0u);
     EXPECT_GT(counters.intern_hits, counters.chains);  // clusters: chains repeat
     EXPECT_GT(counters.set_hits, 0u);
   }
-  api::ExperimentSpec off = spec;
-  off.options.shared_chain_stats = false;
-  CollectSink off_sink;
-  {
-    api::Session session(off.options);
-    session.run(off, {&off_sink});
-  }
 
-  ASSERT_EQ(on_sink.results().size(), off_sink.results().size());
-  for (std::size_t h = 0; h < on_sink.results().size(); ++h) {
-    ASSERT_EQ(on_sink.results()[h].size(), off_sink.results()[h].size());
-    for (std::size_t sc = 0; sc < on_sink.results()[h].size(); ++sc) {
-      ASSERT_EQ(on_sink.results()[h][sc].size(), 2u);
-      for (std::size_t t = 0; t < 2; ++t) {
+  const auto scenarios = spec.scenarios();
+  ASSERT_EQ(sink.results().size(), spec.heuristics.size());
+  for (std::size_t sc = 0; sc < scenarios.size(); ++sc) {
+    const platform::Scenario scenario =
+        scen::platform_family("clusters")->make(scenarios[sc]);
+    const sched::Estimator reference(scenario.platform, scenario.app, spec.options.eps);
+    for (std::size_t h = 0; h < spec.heuristics.size(); ++h) {
+      ASSERT_EQ(sink.results()[h][sc].size(), 2u);
+      for (int t = 0; t < 2; ++t) {
         SCOPED_TRACE("h" + std::to_string(h) + " sc" + std::to_string(sc) + " t" +
                      std::to_string(t));
-        expect_identical_results(on_sink.results()[h][sc][t],
-                                 off_sink.results()[h][sc][t]);
+        expect_identical_results(
+            sink.results()[h][sc][static_cast<std::size_t>(t)],
+            reference_run(spec.options, spec.scenario_space.availability, scenario,
+                          reference, spec.heuristics[h], t));
       }
     }
   }
@@ -570,6 +590,49 @@ TEST(Observability, SessionCountersPopulateAndClearCachesResets) {
   const auto reset = session.chain_store_counters();
   EXPECT_EQ(reset.chains, 0u);
   EXPECT_EQ(reset.bytes, 0u);
+}
+
+TEST(Observability, SecondThreadRebuildsFromTheWarmStoreWithIdenticalRows) {
+  // The serve daemon's resubmit shape: a new thread of a warm session builds
+  // fresh estimators (the scenario cache is per thread) whose every chain
+  // interns into a hit on the retained store. The first thread stays alive
+  // throughout, so the second one cannot inherit its id — and its cache.
+  api::Options options;
+  options.slot_cap = 50'000;
+  const std::vector<std::string> heuristics = {"IE", "P-IE", "Y-IE", "IY"};
+  const auto availability = scen::availability_family("markov");
+  const auto platform_family = scen::platform_family("paper");
+  std::vector<platform::ScenarioParams> units(2);
+  units[0].seed = 71;
+  units[1].seed = 72;
+  units[1].wmin = 3;
+
+  api::Session session(options);
+  auto run_all = [&] {
+    std::vector<std::vector<sim::SimulationResult>> rows;
+    for (const auto& params : units) {
+      rows.push_back(session.run_unit(options, *availability, platform_family, params,
+                                      heuristics, 0));
+    }
+    return rows;
+  };
+  const auto first = run_all();
+  const auto after_first = session.chain_store_counters();
+  std::vector<std::vector<sim::SimulationResult>> second;
+  std::thread([&] { second = run_all(); }).join();
+  const auto after_second = session.chain_store_counters();
+
+  ASSERT_EQ(second.size(), first.size());
+  for (std::size_t u = 0; u < first.size(); ++u) {
+    ASSERT_EQ(second[u].size(), heuristics.size());
+    for (std::size_t h = 0; h < heuristics.size(); ++h) {
+      SCOPED_TRACE("unit " + std::to_string(u) + " " + heuristics[h]);
+      expect_identical_results(second[u][h], first[u][h]);
+    }
+  }
+  EXPECT_EQ(session.cached_entries(), 2 * units.size());  // one per thread
+  EXPECT_GT(after_second.intern_hits, after_first.intern_hits);
+  EXPECT_EQ(after_second.chains, after_first.chains);  // nothing new to intern
 }
 
 }  // namespace

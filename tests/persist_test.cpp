@@ -672,13 +672,6 @@ TEST(Concurrency, ReadersAndWritersShareOneCache) {
 
 // -------------------------------------------------------------------- session ----
 
-TEST(Session, StoreDirRequiresSharedChainStats) {
-  api::Options opts;
-  opts.store_dir = fresh_dir("invalid");
-  opts.shared_chain_stats = false;
-  EXPECT_THROW(api::Session{opts}, std::invalid_argument);
-}
-
 TEST(Session, EvictionKeepsWarmthOnDisk) {
   // clear_caches() flushes BEFORE dropping the heap (the serve daemon's
   // DRAINING eviction rests on this): the next sweep re-interns against the

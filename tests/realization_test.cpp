@@ -3,9 +3,7 @@
 //   * platform::Realization expands rows bit-identical to live fill_block
 //     generation for every registered availability family, and its digest
 //     bitsets match the engine's per-block digest definitions;
-//   * RealizationView is a faithful AvailabilitySource (per-slot == block
-//     pulls == the live source), and position() tracks consumption on every
-//     source;
+//   * position() tracks consumption on every source;
 //   * the engine's replay path — window refills AND the change-to-change
 //     jump loops — is bit-identical to live generation for every heuristic
 //     across families, traces included;
@@ -33,7 +31,6 @@ namespace tcgrid {
 namespace {
 
 using platform::Realization;
-using platform::RealizationView;
 using State = markov::State;
 
 platform::Scenario test_scenario(std::uint64_t seed = 33, int m = 5, long wmin = 2) {
@@ -136,6 +133,7 @@ TEST(Realization, ExpandsRowsBitIdenticalToLiveGeneration) {
     make_source(family, scenario.platform, 11)->fill_block(live.data(), kSlots);
 
     Realization real(make_source(family, scenario.platform, 11));
+    EXPECT_EQ(real.size(), static_cast<int>(p));
     real.ensure(kSlots);
     EXPECT_GE(real.frontier(), kSlots);
     EXPECT_GT(real.bytes(), 0u);
@@ -215,38 +213,6 @@ TEST(Realization, NextChangeMatchesNaiveScan) {
   EXPECT_GT(real.frontier(), old_frontier);
   EXPECT_GE(next, old_frontier);
   EXPECT_LE(next, old_frontier + 100);
-}
-
-TEST(Realization, ViewIsAFaithfulSource) {
-  const auto scenario = test_scenario();
-  const auto p = static_cast<std::size_t>(scenario.platform.size());
-  constexpr long kSlots = 600;
-  for (const auto& family : families()) {
-    SCOPED_TRACE(family);
-    auto live = make_source(family, scenario.platform, 19);
-    Realization real(make_source(family, scenario.platform, 19));
-    RealizationView view(real);
-    EXPECT_EQ(view.size(), static_cast<int>(p));
-
-    std::vector<State> live_block(p * 32);
-    for (long t = 0; t < kSlots; ++t) {
-      if (t % 5 == 0 && t + 32 <= kSlots) {
-        // Alternate pull styles mid-stream; the view must not care.
-        std::vector<State> view_block(p * 32);
-        live->fill_block(live_block.data(), 32);
-        view.fill_block(view_block.data(), 32);
-        ASSERT_EQ(view_block, live_block) << "slot " << t;
-        t += 31;
-        continue;
-      }
-      for (int q = 0; q < static_cast<int>(p); ++q) {
-        ASSERT_EQ(view.state(q), live->state(q)) << "slot " << t << " proc " << q;
-      }
-      live->advance();
-      view.advance();
-    }
-    EXPECT_EQ(view.position(), live->position());
-  }
 }
 
 TEST(Realization, BudgetOverflowThrows) {

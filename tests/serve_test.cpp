@@ -203,12 +203,13 @@ TEST(Serve, ManifestWithRetiredTrialBatchReloadsAndFinishesIdentically) {
   }
 
   // A job directory as an older daemon left it: its manifest's spec carries
-  // "trial_batch", and no unit has run yet.
+  // the retired "trial_batch" and "shared_chain_stats" keys, and no unit has
+  // run yet.
   {
     std::string spec_text = api::spec_to_json_string(spec);
     const std::size_t at = spec_text.find("\"options\":{");
     ASSERT_NE(at, std::string::npos);
-    spec_text.insert(at + 11, "\"trial_batch\":8,");
+    spec_text.insert(at + 11, "\"trial_batch\":8,\"shared_chain_stats\":true,");
     serve::JobCheckpoint ckpt(opts.root, "legacy");
     ckpt.write_manifest(R"({"job":"legacy","tenant":"alice","spec":)" + spec_text + "}");
   }
@@ -216,7 +217,7 @@ TEST(Serve, ManifestWithRetiredTrialBatchReloadsAndFinishesIdentically) {
   // The restarted daemon loads the job, runs it, and streams the same rows.
   serve::Server restarted(opts);
   ASSERT_TRUE(restarted.job_status("legacy").has_value())
-      << "manifest with trial_batch was skipped as unloadable";
+      << "manifest with retired keys was skipped as unloadable";
   const auto status = restarted.wait_job("legacy");
   ASSERT_TRUE(status.has_value());
   EXPECT_EQ(status->state, "done");

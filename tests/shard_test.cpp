@@ -669,22 +669,48 @@ TEST(Shard, ShardDeathMidJobExpiresLeasesAndStaysByteIdentical) {
   const std::vector<std::string> reference = reference_rows(spec, "kill_ref");
   ASSERT_EQ(reference.size(), 96u);
 
-  Daemon shard1(shard_opts("kill_s1"), fresh_root("kill_s1_sock") + ".sock");
-  Daemon shard2(shard_opts("kill_s2"), fresh_root("kill_s2_sock") + ".sock");
-  serve::ServerOptions copts =
-      coordinator_opts("kill_coord", {shard1.socket, shard2.socket});
+  // shard1 is a one-slot scripted shard that takes a lease and holds it
+  // open, unanswered, until it dies — so it provably dies mid-lease. shard2
+  // comes up only after that death and absorbs the whole job.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool holding = false;
+  bool dying = false;
+  auto on_lease = [&](util::LineChannel&) {
+    std::unique_lock<std::mutex> lock(mu);
+    holding = true;
+    cv.notify_all();
+    cv.wait_for(lock, std::chrono::seconds(10), [&] { return dying; });
+  };
+  auto shard1 = std::make_unique<ScriptedShard>(
+      fresh_root("kill_s1") + ".sock", serve::ServerOptions{}.eps, /*threads=*/1, on_lease);
+  const std::string shard2_socket = fresh_root("kill_s2_sock") + ".sock";
+  serve::ServerOptions copts = coordinator_opts("kill_coord", {shard1->socket, shard2_socket});
   Daemon coord(copts, fresh_root("kill_coord_sock") + ".sock");
   Client client(coord.socket);
 
   const json::Value ack = client.submit(spec, "alice", "sweep");
   ASSERT_TRUE(is_ok(ack)) << error_of(ack);
 
-  // Kill one shard once the job is moving but nowhere near done. Its slot
-  // connections die mid-lease; the coordinator re-queues what it held and
-  // the surviving shard absorbs the rest.
-  coord.server->wait_units("sweep", 4);
-  shard1.kill();
+  // Kill shard1 while it holds its lease: its connections die, and the
+  // coordinator re-queues what the lease held.
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10), [&] { return holding; }))
+        << "shard1 never took a lease";
+    dying = true;
+  }
+  cv.notify_all();
+  shard1.reset();
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (coord.server->shard_fleet()->counters().redispatched_units == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_GT(coord.server->shard_fleet()->counters().redispatched_units, 0u)
+      << "the kill expired no leases";
 
+  Daemon shard2(shard_opts("kill_s2"), shard2_socket);
   const auto status = coord.server->wait_job("sweep");
   ASSERT_TRUE(status.has_value());
   EXPECT_EQ(status->state, "done") << "job did not survive the shard death";
@@ -693,9 +719,6 @@ TEST(Shard, ShardDeathMidJobExpiresLeasesAndStaysByteIdentical) {
   EXPECT_EQ(end.find("state")->as_string(), "done");
   EXPECT_EQ(sorted(rows), reference);
   EXPECT_EQ(rows, file_rows(copts.root + "/sweep/rows.jsonl"));
-
-  const serve::ShardFleet::Counters c = coord.server->shard_fleet()->counters();
-  EXPECT_GT(c.redispatched_units, 0u) << "the kill expired no leases";
 }
 
 TEST(Shard, CoordinatorRestartResumesMergedJobWithStableOffsets) {

@@ -59,7 +59,6 @@ api::ExperimentSpec full_spec() {
   spec.options.fast_forward = false;
   spec.options.realization_budget = (1ull << 33) + 5;  // > 32 bits
   spec.options.eps = 1e-4;
-  spec.options.shared_chain_stats = false;
   spec.options.init = tcgrid::platform::InitialStates::AllUp;
   spec.options.threads = 3;
   spec.options.seed = std::numeric_limits<std::uint64_t>::max();
@@ -104,7 +103,6 @@ TEST(SpecJson, EveryFieldSurvivesTheRoundTrip) {
   EXPECT_EQ(back.options.fast_forward, spec.options.fast_forward);
   EXPECT_EQ(back.options.realization_budget, spec.options.realization_budget);
   EXPECT_EQ(back.options.eps, spec.options.eps);
-  EXPECT_EQ(back.options.shared_chain_stats, spec.options.shared_chain_stats);
   EXPECT_EQ(back.options.init, spec.options.init);
   EXPECT_EQ(back.options.threads, spec.options.threads);
   EXPECT_EQ(back.options.seed, spec.options.seed);
@@ -198,6 +196,25 @@ TEST(SpecJson, RetiredTrialBatchKeyIsAcceptedAndDropped) {
   expect_field_error(R"({"options": {"trial_batch": 0}})",
                      "spec.options.trial_batch");
   expect_field_error(R"({"options": {"trial_batch": -3}})", "outside");
+}
+
+TEST(SpecJson, RetiredSharedChainStatsKeyIsAcceptedAndDropped) {
+  // Job manifests written by older daemons always carry
+  // "shared_chain_stats":true; the session now always shares its store, so
+  // the key parses to the same spec as without it and is not re-emitted.
+  const api::ExperimentSpec spec = full_spec();
+  const std::string text = api::spec_to_json_string(spec);
+  EXPECT_EQ(text.find("shared_chain_stats"), std::string::npos) << text;
+  const std::size_t at = text.find("\"options\":{");
+  ASSERT_NE(at, std::string::npos);
+  for (const char* value : {"true", "false"}) {
+    std::string legacy = text;
+    legacy.insert(at + 11, std::string("\"shared_chain_stats\":") + value + ",");
+    EXPECT_EQ(api::spec_to_json_string(api::spec_from_json_string(legacy)), text);
+  }
+  // Still type-checked: a non-bool fails at its dotted path.
+  expect_field_error(R"({"options": {"shared_chain_stats": 1}})",
+                     "spec.options.shared_chain_stats");
 }
 
 TEST(SpecJson, SyntaxErrorsCarryTheOffset) {

@@ -16,7 +16,8 @@
 //
 // All ratio-of-wall-time figures sit on top of machine noise: the artifact
 // therefore records a `noise_floor` — the worst relative best-to-worst rep
-// spread seen by any arm — and headline overheads are clamped at 0 (a
+// spread seen by any arm, null under --reps 1, where a single rep has no
+// spread to measure — and headline overheads are clamped at 0 (a
 // negative overhead is indistinguishable from noise, not a real win). Raw
 // unclamped ratios are kept alongside for honesty.
 //
@@ -170,6 +171,7 @@ int main(int argc, char** argv) {
   const double obs_overhead = std::max(0.0, obs_overhead_raw);
   const double noise_floor = std::max(
       {rep_spread(shared_t), rep_spread(live_t), rep_spread(obs_t)});
+  const bool floor_measured = reps >= 2;
 
   namespace json = util::json;
   const json::Value artifact(json::Object{
@@ -190,7 +192,7 @@ int main(int argc, char** argv) {
                            {"rows_per_sec", obs_rate},
                            {"overhead", obs_overhead},
                            {"overhead_raw", obs_overhead_raw}}},
-      {"noise_floor", noise_floor},
+      {"noise_floor", floor_measured ? json::Value(noise_floor) : json::Value(nullptr)},
       {"chain_store", json::Object{{"chains", cs.chains},
                                    {"intern_hits", cs.intern_hits},
                                    {"set_entries", cs.set_entries},
@@ -210,11 +212,15 @@ int main(int argc, char** argv) {
                "live %.3fs (%.0f rows/s)  speedup x%.2f  %s\n",
                shared_t.rows, shared_t.slots, shared_t.seconds, shared_rate, live_t.seconds,
                live_rate, speedup, identical ? "identical" : "MISMATCH");
+  char floor_text[32] = "unmeasured (1 rep)";
+  if (floor_measured) {
+    std::snprintf(floor_text, sizeof floor_text, "%.2f%%", 100.0 * noise_floor);
+  }
   std::fprintf(stderr,
                "bench_sweep: obs enabled %.3fs (%.0f rows/s)  overhead %.2f%% "
-               "(raw %+.2f%%, noise floor %.2f%%)\n",
+               "(raw %+.2f%%, noise floor %s)\n",
                obs_t.seconds, obs_rate, 100.0 * obs_overhead,
-               100.0 * obs_overhead_raw, 100.0 * noise_floor);
+               100.0 * obs_overhead_raw, floor_text);
   std::fprintf(stderr,
                "bench_sweep: chain store  %zu chains (+%zu dedup hits)  %zu set "
                "entries (%.1f%% hit rate)  %zu survival entries  %zu bytes\n",

@@ -8,7 +8,7 @@
 #include "obs/obs.hpp"
 #include "sched/registry.hpp"
 #include "sim/engine.hpp"
-#include "util/thread_pool.hpp"
+#include "util/parallel.hpp"
 
 namespace tcgrid::api {
 

@@ -5,6 +5,7 @@
 
 #include "api/spec.hpp"
 #include "util/csv.hpp"
+#include "util/json.hpp"
 
 namespace tcgrid::api {
 
@@ -86,36 +87,17 @@ void CsvSink::finish() {
 
 // -------------------------------------------------------------- JsonlSink ----
 
-namespace {
-
-// Registry names are caller-chosen strings; escape everything JSON requires
-// (quotes, backslashes, control characters) so no name can corrupt the
-// stream.
-void write_json_string(std::ostream& out, const std::string& s) {
-  static const char* hex = "0123456789abcdef";
-  out << '"';
-  for (char c : s) {
-    const auto u = static_cast<unsigned char>(c);
-    if (c == '"' || c == '\\') out << '\\' << c;
-    else if (c == '\n') out << "\\n";
-    else if (c == '\r') out << "\\r";
-    else if (c == '\t') out << "\\t";
-    else if (u < 0x20) out << "\\u00" << hex[u >> 4] << hex[u & 0xf];
-    else out << c;
-  }
-  out << '"';
-}
-
-}  // namespace
-
 void JsonlSink::consume(const ResultRow& row) {
   const auto& p = *row.params;
   const auto& r = *row.result;
-  *out_ << R"({"heuristic":)";
-  write_json_string(*out_, *row.name);
-  *out_ << R"(,"family":)";
-  write_json_string(*out_, row.family != nullptr ? *row.family : std::string());
-  *out_ << R"(,"m":)" << p.m << R"(,"ncom":)" << p.ncom << R"(,"wmin":)" << p.wmin
+  // Registry names are caller-chosen strings: quote them with everything
+  // JSON requires escaped, so no name can corrupt the stream.
+  std::string head = R"({"heuristic":)";
+  util::json::append_quoted(*row.name, head);
+  head += R"(,"family":)";
+  util::json::append_quoted(
+      row.family != nullptr ? std::string_view(*row.family) : std::string_view(), head);
+  *out_ << head << R"(,"m":)" << p.m << R"(,"ncom":)" << p.ncom << R"(,"wmin":)" << p.wmin
         << R"(,"scenario_seed":)" << p.seed << R"(,"trial":)" << row.trial
         << R"(,"success":)" << (r.success ? "true" : "false") << R"(,"makespan":)"
         << r.makespan << R"(,"iterations":)" << r.iterations_completed

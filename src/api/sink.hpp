@@ -11,8 +11,8 @@
 // an internal mutex — a sink never sees two concurrent consume() calls, so
 // plain (unsynchronized) sink state is safe.
 //
-// consume() MUST NOT throw: it runs inside thread-pool tasks, which
-// terminate the process on escaping exceptions (see util/thread_pool.hpp).
+// consume() MUST NOT throw: it runs inside parallel_for workers, which
+// terminate the process on escaping exceptions (see util/parallel.hpp).
 // Record the failure in the sink and report it from finish(), which runs on
 // the Session::run caller's thread and may throw (the file sinks do this for
 // stream write failures).

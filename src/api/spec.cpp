@@ -65,7 +65,7 @@ void ExperimentSpec::validate() const {
   }
   if (options.avail_block <= 0) {
     // Catch it here: the engine's own check would throw inside a worker
-    // task, which terminates the process (see util/thread_pool.hpp).
+    // task, which terminates the process (see util/parallel.hpp).
     throw std::invalid_argument("ExperimentSpec: avail_block must be >= 1");
   }
   if (options.eps <= 0.0) {

@@ -149,32 +149,6 @@ std::size_t Realization::locate(std::size_t q, long slot) const {
 void Realization::expand_rows(long begin, long end, markov::State* buf) const {
   assert(begin >= 0 && begin <= end && end <= frontier_);
   if (begin == end) return;
-  if (end - begin == 1) {
-    // Single-row fast path: replay jump loops expand exactly the event rows,
-    // whose slots are shared by every heuristic consuming this trial. Rows
-    // are immutable once materialized, so a hit is a straight copy.
-    const auto p = static_cast<std::size_t>(p_);
-    if (row_memo_tag_.empty()) {
-      row_memo_tag_.assign(kRowMemoSlots, -1);
-      row_memo_.resize(kRowMemoSlots * p);
-    }
-    const std::size_t idx =
-        static_cast<std::size_t>(begin) & (kRowMemoSlots - 1);
-    markov::State* cell = row_memo_.data() + idx * p;
-    if (row_memo_tag_[idx] == begin) {
-      std::copy_n(cell, p, buf);
-      return;
-    }
-    expand_rows_uncached(begin, end, buf);
-    std::copy_n(buf, p, cell);
-    row_memo_tag_[idx] = begin;
-    return;
-  }
-  expand_rows_uncached(begin, end, buf);
-}
-
-void Realization::expand_rows_uncached(long begin, long end,
-                                       markov::State* buf) const {
   const auto p = static_cast<std::size_t>(p_);
   for (std::size_t q = 0; q < p; ++q) {
     const auto& runs = runs_[q];

@@ -176,9 +176,6 @@ class Realization {
   /// search). Requires slot < frontier_. Updates the cursor.
   [[nodiscard]] std::size_t locate(std::size_t q, long slot) const;
 
-  /// expand_rows without the single-row memo (the RLE interval walk).
-  void expand_rows_uncached(long begin, long end, markov::State* buf) const;
-
   void materialize_chunk(long slots);
 
   std::unique_ptr<AvailabilitySource> source_;
@@ -201,19 +198,6 @@ class Realization {
   /// (each replay walks the timeline front to back), so remembering where
   /// the last expansion left off skips the binary search.
   mutable std::vector<std::size_t> cursor_;
-
-  /// Direct-mapped memo of single-row expansions, keyed by slot. The
-  /// replay jump loop expands exactly the event rows (digest-bit slots),
-  /// and those slots are a property of the TRIAL, not of the consumer — so
-  /// with H heuristics replaying one realization, each event row's
-  /// interval walk is paid once and the other H-1 expansions are a copy.
-  /// Bounded (kRowMemoSlots * p bytes, a few KB) and deliberately outside
-  /// the bytes_ budget accounting; rows are immutable once materialized,
-  /// so a hit is always bit-identical to a re-expansion. Lazily allocated
-  /// on the first single-row call.
-  static constexpr std::size_t kRowMemoSlots = 256;
-  mutable std::vector<markov::State> row_memo_;
-  mutable std::vector<long> row_memo_tag_;
 };
 
 }  // namespace tcgrid::platform

@@ -14,20 +14,20 @@ namespace {
 // reference held across the cap stays valid (see evict()).
 constexpr std::size_t kMaxCachedSets = std::size_t{1} << 22;
 constexpr std::size_t kMaxMemoizedBuilds = std::size_t{1} << 20;
-
-using detail::mix64;  // shared with the inline front-cache fast paths
 }  // namespace
 
-markov::CoupledStats& Estimator::SetCache::lookup(std::uint64_t key, bool& fresh) {
-  if (table_.empty() || size_ * 2 >= table_.size()) grow();
+namespace detail {
+
+template <class Value, std::size_t kChunk, std::size_t kLoadNum, std::size_t kLoadDen>
+Value& ChunkedTable<Value, kChunk, kLoadNum, kLoadDen>::lookup(std::uint64_t key,
+                                                             bool& fresh) {
+  if (table_.empty() || size_ * kLoadDen >= table_.size() * kLoadNum) grow();
   const std::size_t mask = table_.size() - 1;
   std::size_t i = static_cast<std::size_t>(mix64(key)) & mask;
   while (table_[i].slot >= 0 && table_[i].key != key) i = (i + 1) & mask;
   auto& e = table_[i];
   if (e.slot < 0) {
-    if (size_ % kChunk == 0) {
-      chunks_.push_back(std::make_unique<markov::CoupledStats[]>(kChunk));
-    }
+    if (size_ % kChunk == 0) chunks_.push_back(std::make_unique<Value[]>(kChunk));
     e.key = key;
     e.slot = static_cast<std::int32_t>(size_++);
     fresh = true;
@@ -36,7 +36,16 @@ markov::CoupledStats& Estimator::SetCache::lookup(std::uint64_t key, bool& fresh
   return chunks_[slot / kChunk][slot % kChunk];
 }
 
-void Estimator::SetCache::grow() {
+template <class Value, std::size_t kChunk, std::size_t kLoadNum, std::size_t kLoadDen>
+Value& ChunkedTable<Value, kChunk, kLoadNum, kLoadDen>::insert(std::uint64_t key) {
+  bool fresh = false;
+  Value& v = lookup(key, fresh);
+  assert(fresh && "ChunkedTable::insert: key already present");
+  return v;
+}
+
+template <class Value, std::size_t kChunk, std::size_t kLoadNum, std::size_t kLoadDen>
+void ChunkedTable<Value, kChunk, kLoadNum, kLoadDen>::grow() {
   std::vector<Entry> old = std::move(table_);
   table_.assign(old.empty() ? 1024 : old.size() * 2, Entry{});
   const std::size_t mask = table_.size() - 1;
@@ -48,75 +57,21 @@ void Estimator::SetCache::grow() {
   }
 }
 
-void Estimator::SetCache::evict() {
+template <class Value, std::size_t kChunk, std::size_t kLoadNum, std::size_t kLoadDen>
+void ChunkedTable<Value, kChunk, kLoadNum, kLoadDen>::evict() {
   // Epoch retirement: drop the index, but keep the current value chunks
-  // alive for one more epoch (and only now free the PREVIOUS epoch's). A
-  // reference returned before this call therefore dereferences unchanged
-  // storage until the NEXT cap-triggered eviction — a full cap's worth of
-  // insertions away — instead of dangling immediately, which was the
-  // historical clear()-on-next-call hazard.
-  assert(size_ > 0 && "SetCache::evict: eviction with nothing inserted");
+  // alive for one more epoch (and only now free the PREVIOUS epoch's).
+  assert(size_ > 0 && "ChunkedTable::evict: eviction with nothing inserted");
   table_.clear();
   retired_.clear();
   retired_.swap(chunks_);
   size_ = 0;
 }
 
-MemoizedBuild* Estimator::BuildMemo::find(std::uint64_t key) noexcept {
-  if (table_.empty()) return nullptr;
-  const std::size_t mask = table_.size() - 1;
-  std::size_t i = static_cast<std::size_t>(mix64(key)) & mask;
-  while (table_[i].slot >= 0) {
-    if (table_[i].key == key) {
-      const auto slot = static_cast<std::size_t>(table_[i].slot);
-      return &chunks_[slot / kChunk][slot % kChunk];
-    }
-    i = (i + 1) & mask;
-  }
-  return nullptr;
-}
+template class ChunkedTable<MemoizedBuild, 64, 3, 4>;            // Estimator::BuildMemo
+template class ChunkedTable<markov::CoupledStats, 256, 1, 2>;   // Estimator::SetCache
 
-MemoizedBuild& Estimator::BuildMemo::insert(std::uint64_t key) {
-  // 3/4 max load: the memo reaches hundreds of thousands of entries, where
-  // the probe table's cache footprint costs more than the longer chains
-  // (unlike SetCache, whose table stays small enough to keep at 1/2).
-  if (table_.empty() || size_ * 4 >= table_.size() * 3) grow();
-  const std::size_t mask = table_.size() - 1;
-  std::size_t i = static_cast<std::size_t>(mix64(key)) & mask;
-  while (table_[i].slot >= 0) {
-    assert(table_[i].key != key && "BuildMemo::insert: key already present");
-    i = (i + 1) & mask;
-  }
-  if (size_ % kChunk == 0) {
-    chunks_.push_back(std::make_unique<MemoizedBuild[]>(kChunk));
-  }
-  auto& e = table_[i];
-  e.key = key;
-  e.slot = static_cast<std::int32_t>(size_++);
-  const auto slot = static_cast<std::size_t>(e.slot);
-  return chunks_[slot / kChunk][slot % kChunk];
-}
-
-void Estimator::BuildMemo::grow() {
-  std::vector<Entry> old = std::move(table_);
-  table_.assign(old.empty() ? 1024 : old.size() * 2, Entry{});
-  const std::size_t mask = table_.size() - 1;
-  for (const Entry& e : old) {
-    if (e.slot < 0) continue;
-    std::size_t i = static_cast<std::size_t>(mix64(e.key)) & mask;
-    while (table_[i].slot >= 0) i = (i + 1) & mask;
-    table_[i] = e;
-  }
-}
-
-void Estimator::BuildMemo::evict() {
-  // Same epoch-retirement contract as SetCache::evict().
-  assert(size_ > 0 && "BuildMemo::evict: eviction with nothing inserted");
-  table_.clear();
-  retired_.clear();
-  retired_.swap(chunks_);
-  size_ = 0;
-}
+}  // namespace detail
 
 Estimator::Estimator(const platform::Platform& platform, const model::Application& app,
                      double eps, std::shared_ptr<markov::ChainStatsStore> store)

@@ -57,6 +57,54 @@ constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
   x ^= x >> 31;
   return x;
 }
+
+/// Open-addressed map from 64-bit keys to default-constructed values: the
+/// estimator's set front cache and build memo. Both sit on hot paths (every
+/// candidate evaluation, every proactive consult) where std::unordered_map's
+/// bucket chasing was measurable; linear probing over a power-of-two table
+/// of (key, slot) pairs is 2-3x cheaper per hit. The table grows at
+/// kLoadNum/kLoadDen load. Values live in stable kChunk-sized chunks, so
+/// references survive growth, and evict() retires them for one epoch
+/// instead of freeing them: a reference handed out before an eviction
+/// keeps reading its (unchanged) value until the NEXT eviction — the fix
+/// for the historical dangling-reference hazard of an eager clear()
+/// (DESIGN.md §10). Not thread-safe.
+template <class Value, std::size_t kChunk, std::size_t kLoadNum, std::size_t kLoadDen>
+class ChunkedTable {
+ public:
+  /// The value for `key`, or nullptr. Never inserts or evicts. Inline: the
+  /// candidate loop and the consult path probe here.
+  [[nodiscard]] Value* find(std::uint64_t key) const noexcept {
+    if (table_.empty()) return nullptr;
+    const std::size_t mask = table_.size() - 1;
+    std::size_t i = static_cast<std::size_t>(mix64(key)) & mask;
+    while (table_[i].slot >= 0 && table_[i].key != key) i = (i + 1) & mask;
+    if (table_[i].slot < 0) return nullptr;
+    const auto slot = static_cast<std::size_t>(table_[i].slot);
+    return &chunks_[slot / kChunk][slot % kChunk];
+  }
+  /// The value for `key`, default-constructing it (and setting `fresh`) on
+  /// first sight.
+  Value& lookup(std::uint64_t key, bool& fresh);
+  /// Insert a slot for `key` (which must be absent) and return it. Split
+  /// from find() so callers can run a (throwing) computation BEFORE the key
+  /// becomes visible.
+  Value& insert(std::uint64_t key);
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  /// Cap-triggered eviction with epoch retirement (see above).
+  void evict();
+
+ private:
+  void grow();
+  struct Entry {
+    std::uint64_t key = 0;
+    std::int32_t slot = -1;  // -1 = empty
+  };
+  std::vector<Entry> table_;  // power-of-two capacity
+  std::vector<std::unique_ptr<Value[]>> chunks_;
+  std::vector<std::unique_ptr<Value[]>> retired_;  // previous epoch
+  std::size_t size_ = 0;
+};
 }  // namespace detail
 
 /// Probability of success and expected duration of (the remainder of) an
@@ -100,7 +148,7 @@ class Estimator {
   /// by membership bitmask; resolved through the store by the multiset of
   /// chain ids on a front miss. The reference stays valid until the SECOND
   /// cap-triggered eviction after it was returned (epoch retirement, see
-  /// SetCache::evict) — in practice, for any realistic hold.
+  /// detail::ChunkedTable) — in practice, for any realistic hold.
   [[nodiscard]] const markov::CoupledStats& set_stats(std::span<const int> set) const;
 
   /// set_stats with the membership bitmask precomputed by the caller. The
@@ -190,41 +238,13 @@ class Estimator {
   /// build is a pure function of the signed inputs, so a memo hit returns
   /// exactly what a rebuild would. A miss is a delta rebuild against the
   /// builder's previous build (DESIGN.md §16): it usually rescores only the
-  /// workers whose inputs changed, not all m*p candidates. Open-addressed
-  /// for the same reason as SetCache: the lookup runs once per proactive
-  /// consult, where bucket chasing was measurable. Bounded like the set
-  /// cache, with the same epoch-retired eviction (references survive one
-  /// full epoch).
-  class BuildMemo {
-   public:
-    /// The memoized build for `key`, or nullptr. The pointer is stable
-    /// across growth (values live in stable chunks).
-    [[nodiscard]] MemoizedBuild* find(std::uint64_t key) noexcept;
-    /// Insert a slot for `key` (which must be absent) and return it. Split
-    /// from find() so callers can run the (throwing) build BEFORE the key
-    /// becomes visible — a lookup-then-build API would memoize an empty
-    /// configuration if the build threw mid-sweep.
-    MemoizedBuild& insert(std::uint64_t key);
-    [[nodiscard]] std::size_t size() const noexcept { return size_; }
-    /// Cap-triggered eviction with epoch retirement: the index is dropped
-    /// but the value chunks survive until the NEXT eviction, so references
-    /// handed out before this call keep reading their (unchanged) values
-    /// for a whole epoch — the fix for the historical dangling-reference
-    /// hazard of an eager clear() (DESIGN.md §10).
-    void evict();
-
-   private:
-    void grow();
-    struct Entry {
-      std::uint64_t key = 0;
-      std::int32_t slot = -1;  // -1 = empty
-    };
-    std::vector<Entry> table_;  // power-of-two capacity
-    static constexpr std::size_t kChunk = 64;
-    std::vector<std::unique_ptr<MemoizedBuild[]>> chunks_;
-    std::vector<std::unique_ptr<MemoizedBuild[]>> retired_;  // previous epoch
-    std::size_t size_ = 0;
-  };
+  /// workers whose inputs changed, not all m*p candidates. Callers probe
+  /// with find() and run the (throwing) build BEFORE insert() makes the key
+  /// visible: a lookup-then-build API would memoize an empty configuration
+  /// if the build threw mid-sweep. 3/4 max load: the memo reaches hundreds
+  /// of thousands of entries, where the probe table's cache footprint costs
+  /// more than the longer chains.
+  using BuildMemo = detail::ChunkedTable<MemoizedBuild, 64, 3, 4>;
 
   [[nodiscard]] BuildMemo& build_memo() const {
     if (build_memo_.size() >= build_cap_) build_memo_.evict();
@@ -232,45 +252,9 @@ class Estimator {
   }
 
  private:
-  /// Open-addressing bitmask -> CoupledStats front cache. set_stats sits
-  /// under every candidate evaluation of a build, where std::unordered_map's
-  /// bucket chasing is measurable; linear probing over a power-of-two table
-  /// of (key, slot) pairs is 2-3x cheaper per hit. Values live in a stable
-  /// deque-like store so returned references survive growth, and eviction
-  /// retires chunks for one epoch instead of freeing them (see evict()).
-  class SetCache {
-   public:
-    /// Returns the value slot for `key`, default-constructing it (and
-    /// setting `fresh`) on first sight.
-    markov::CoupledStats& lookup(std::uint64_t key, bool& fresh);
-    /// Probe-only scalar lookup: the cached value for `key`, or nullptr.
-    /// Never inserts or evicts. Inline: this sits under every candidate
-    /// evaluation of the incremental builder.
-    [[nodiscard]] const markov::CoupledStats* find(std::uint64_t key) const noexcept {
-      if (table_.empty()) return nullptr;
-      const std::size_t mask = table_.size() - 1;
-      std::size_t i = static_cast<std::size_t>(detail::mix64(key)) & mask;
-      while (table_[i].slot >= 0 && table_[i].key != key) i = (i + 1) & mask;
-      if (table_[i].slot < 0) return nullptr;
-      const auto slot = static_cast<std::size_t>(table_[i].slot);
-      return &chunks_[slot / kChunk][slot % kChunk];
-    }
-    [[nodiscard]] std::size_t size() const noexcept { return size_; }
-    /// Same epoch-retired eviction contract as BuildMemo::evict().
-    void evict();
-
-   private:
-    void grow();
-    struct Entry {
-      std::uint64_t key = 0;
-      std::int32_t slot = -1;  // -1 = empty
-    };
-    std::vector<Entry> table_;  // power-of-two capacity
-    static constexpr std::size_t kChunk = 256;
-    std::vector<std::unique_ptr<markov::CoupledStats[]>> chunks_;
-    std::vector<std::unique_ptr<markov::CoupledStats[]>> retired_;  // prev epoch
-    std::size_t size_ = 0;
-  };
+  /// Membership bitmask -> CoupledStats front cache. It stays small enough
+  /// to keep at 1/2 max load.
+  using SetCache = detail::ChunkedTable<markov::CoupledStats, 256, 1, 2>;
 
   const platform::Platform& platform_;
   const model::Application& app_;

@@ -67,10 +67,6 @@ Engine::Engine(const platform::Platform& platform, const model::Application& app
     digest_new_down_.resize(rows);
     prev_row_.resize(p);
   }
-  if (realization_ != nullptr) {
-    row_scratch_.resize(p);
-    prev_scratch_.resize(p);
-  }
 }
 
 SimulationResult Engine::run() {
@@ -176,6 +172,7 @@ void Engine::refill_block() {
     prev_row_valid_ = true;
   }
   availability_->fill_block(block_.data(), block_slots_);
+  block_base_ = slot_;
   block_filled_ = block_slots_;
   block_pos_ = 0;
 
@@ -210,7 +207,7 @@ void Engine::refill_block() {
 
 void Engine::refresh_states() {
   if (block_pos_ == block_filled_) refill_block();
-  states_ = std::span(peek_row(), holdings_.size());
+  states_ = std::span(window_row(slot_), holdings_.size());
   digest_row_ = block_pos_;
   ++block_pos_;
 }
@@ -451,7 +448,7 @@ void Engine::advance_computation() {
     ++current_iter_.compute_slots;
     last_phase_ = Phase::Compute;
     if (compute_done_ >= compute_total_) {
-      complete_iteration();
+      complete_iteration(slot_);
       last_phase_ = Phase::Completed;
     }
   } else {
@@ -467,9 +464,9 @@ void Engine::advance_computation() {
   }
 }
 
-void Engine::complete_iteration() {
+void Engine::complete_iteration(long slot) {
   current_iter_.start_slot = iteration_start_;
-  current_iter_.end_slot = slot_;
+  current_iter_.end_slot = slot;
   result_.iterations.push_back(current_iter_);
   current_iter_ = {};
   ++iterations_done_;
@@ -480,7 +477,7 @@ void Engine::complete_iteration() {
   compute_total_ = 0;
   compute_done_ = 0;
   std::fill(comm_remaining_buf_.begin(), comm_remaining_buf_.end(), 0);
-  iteration_start_ = slot_ + 1;
+  iteration_start_ = slot + 1;
 
   if (iterations_done_ >= app_.iterations) finished_ = true;
 }
@@ -517,66 +514,169 @@ void Engine::record_slot() {
 }
 
 // --------------------------------------------------------------------------
-// Event-horizon fast path (DESIGN.md §8). After a normally processed slot,
-// bulk-advance the run of upcoming slots whose outcome is already
+// Event-horizon fast path (DESIGN.md §8-§9). After a normally processed
+// slot, bulk-advance the run of upcoming slots whose outcome is already
 // determined: the engine-side state machine is advanced arithmetically and
 // the scheduler is not consulted, which is sound exactly when the latched
-// Quiescence report covers every skipped slot. Event slots — where either
-// the engine-side outcome (restart, iteration completion, a change of the
-// served set) or the scheduler's answer (UP-gain, watched membership
-// change, horizon expiry, a completed message) can change — fall back to
-// the per-slot path.
+// Quiescence report covers every skipped slot. Each phase's advance is one
+// loop over segments:
+//
+//   1. the stretch end: the segment end, the compute need or the comm
+//      finish horizon, clipped at the first scheduler event (scheduler_stop:
+//      horizon expiry, any UP-membership change, or a UP gain or watched
+//      change) and then at the first enrolled-state change — while every
+//      enrolled worker holds its state, the per-slot outcome (all_up /
+//      any_down / the served comm set) is frozen;
+//   2. the stretch applied arithmetically, newly-DOWN workers crashed in
+//      aggregate (crash() is idempotent and a DOWN worker's holdings cannot
+//      change until it is processed again);
+//   3. the stop slot: an enrolled compute/suspend change short of the
+//      scheduler stop and not an enrolled DOWN is reclassified and banked
+//      alone; every other stop hands the slot to the per-slot path.
+//
+// Availability is read through one query surface with two backends,
+// picked per query (never per row): replay without tracing reads the
+// Realization — RLE stretches, digest bitsets — and skipped rows are never
+// expanded; live and traced runs read the dense window — rows and digest
+// bytes. A segment is the window, or the replayed prefix of a frozen
+// realization (else the whole run); at its end the loop refills the window
+// or switches to live and carries on. Both backends report the same slots
+// for every query, so the stop slots — and hence results, traces and
+// telemetry — do not depend on the backend.
 // --------------------------------------------------------------------------
 
-const markov::State* Engine::prev_of_peeked() const {
-  if (block_pos_ > 0) return peek_row() - states_.size();
-  assert(prev_row_valid_);
-  return prev_row_.data();
+const markov::State* Engine::window_row(long slot) const {
+  if (slot < block_base_) {  // the row before the window
+    assert(slot == block_base_ - 1 && prev_row_valid_);
+    return prev_row_.data();
+  }
+  return block_.data() + static_cast<std::size_t>(slot - block_base_) * holdings_.size();
 }
 
-bool Engine::watched_membership_changed(const markov::State* prev,
-                                        const markov::State* row) const {
+markov::State Engine::state_at(int q, long slot) const {
+  if (jumping()) return realization_->state_at(q, slot);
+  return window_row(slot)[static_cast<std::size_t>(q)];
+}
+
+long Engine::segment_end() {
+  if (jumping()) {
+    if (!realization_->frozen()) return options_.slot_cap;
+    if (slot_ < realization_->frontier()) {
+      return std::min(realization_->frontier(), options_.slot_cap);
+    }
+    switch_to_live();
+  }
+  if (block_pos_ == block_filled_) refill_block();
+  return std::min(block_base_ + block_filled_, options_.slot_cap);
+}
+
+long Engine::next_change(long from, long limit) {
+  if (jumping()) return realization_->next_change(from, limit);
+  for (long s = from; s < limit; ++s) {
+    const auto pos = static_cast<std::size_t>(s - block_base_);
+    if (digest_up_changed_[pos] | digest_new_down_[pos]) return s;
+  }
+  return limit;
+}
+
+bool Engine::up_changed_at(long slot) const {
+  if (jumping()) return realization_->up_changed_at(slot);
+  return digest_up_changed_[static_cast<std::size_t>(slot - block_base_)] != 0;
+}
+
+bool Engine::up_gain_at(long slot) const {
+  if (jumping()) return realization_->up_gain_at(slot);
+  return digest_up_gain_[static_cast<std::size_t>(slot - block_base_)] != 0;
+}
+
+long Engine::enrolled_stable_until(long limit) {
+  if (enrolled_buf_.empty() || slot_ >= limit) return limit;
+  if (jumping()) return realization_->stable_until(enrolled_buf_, slot_ - 1, limit);
+  const markov::State* ref = window_row(slot_ - 1);
+  for (long s = slot_; s < limit; ++s) {
+    const markov::State* row = window_row(s);
+    for (int q : enrolled_buf_) {
+      const auto qi = static_cast<std::size_t>(q);
+      if (row[qi] != ref[qi]) return s;
+    }
+  }
+  return limit;
+}
+
+long Engine::scheduler_stop(Quiescence::Kind kind, long limit) {
+  if (kind == Quiescence::Kind::WhileConfigured) return limit;
+  if (horizon_left_ < limit - slot_) limit = slot_ + horizon_left_;  // no overflow
+  for (long s = slot_; (s = next_change(s, limit)) < limit; ++s) {
+    if (!up_changed_at(s)) continue;  // a fresh DOWN of a non-UP worker
+    if (kind == Quiescence::Kind::UntilUpSetChanges || up_gain_at(s)) return s;
+    if (watched_membership_changed(s)) return s;
+  }
+  return limit;
+}
+
+bool Engine::watched_membership_changed(long slot) const {
   for (int q : quiesce_->watched) {
-    const auto qi = static_cast<std::size_t>(q);
-    if (is_up(prev[qi]) != is_up(row[qi])) return true;
+    if (is_up(state_at(q, slot - 1)) != is_up(state_at(q, slot))) return true;
   }
   return false;
 }
 
-void Engine::crash_down_in_row(const markov::State* row) {
-  // Aggregate application of process_downs over a skipped slot: crash() is
-  // idempotent, and no holdings of a DOWN worker can change between its
-  // first DOWN slot and the next processed slot, so crashing on newly-DOWN
-  // rows only is equivalent to crashing every slot.
+void Engine::crash_downs(long begin, long end) {
+  if (!jumping()) {
+    for (long s = begin; s < end; ++s) {
+      if (digest_new_down_[static_cast<std::size_t>(s - block_base_)]) {
+        const markov::State* row = window_row(s);
+        for (std::size_t q = 0; q < holdings_.size(); ++q) {
+          if (row[q] == markov::State::Down) holdings_[q].crash();
+        }
+      }
+    }
+    return;
+  }
+  // Replay: a worker DOWN anywhere in the range is crashed once. A range
+  // with no fresh DOWN needs no interval walk, and workers with empty
+  // holdings are skipped because crashing them is a no-op (no enrolled
+  // worker is ever DOWN inside a stretch).
+  if (begin >= end || !realization_->any_new_down(begin, end - 1)) return;
   for (std::size_t q = 0; q < holdings_.size(); ++q) {
-    if (row[q] == markov::State::Down) holdings_[q].crash();
+    const model::Holdings& h = holdings_[q];
+    if (!h.has_program && h.data_messages == 0 && h.partial_slots == 0) continue;
+    if (realization_->down_overlaps(static_cast<int>(q), begin, end - 1)) {
+      holdings_[q].crash();
+    }
   }
 }
 
-void Engine::record_bulk_row(const markov::State* row, bool compute) {
-  if (!options_.record_trace) return;
-  auto& tr = trace_.emplace_back(holdings_.size());
-  for (std::size_t q = 0; q < holdings_.size(); ++q) {
-    tr[q] = Cell{row[q], Action::None};
-  }
-  for (const auto& a : config_.assignments()) {
-    const auto q = static_cast<std::size_t>(a.proc);
-    if (compute) {
-      tr[q].action = Action::Compute;
-    } else if (is_up(row[q])) {
-      tr[q].action = Action::Idle;  // suspended: UP workers wait
+void Engine::consume(long end, bool compute) {
+  crash_downs(slot_, end);
+  if (options_.record_trace) {
+    for (long s = slot_; s < end; ++s) {
+      const markov::State* row = window_row(s);
+      auto& tr = trace_.emplace_back(holdings_.size());
+      for (std::size_t q = 0; q < holdings_.size(); ++q) {
+        tr[q] = Cell{row[q], Action::None};
+      }
+      for (const auto& a : config_.assignments()) {
+        const auto q = static_cast<std::size_t>(a.proc);
+        if (compute) {
+          tr[q].action = Action::Compute;
+        } else if (is_up(row[q])) {
+          tr[q].action = Action::Idle;  // suspended: UP workers wait
+        }
+      }
     }
   }
+  horizon_left_ -= end - slot_;
+  slot_ = end;
+  if (!jumping()) block_pos_ = slot_ - block_base_;
 }
 
 void Engine::fast_forward() {
   if (quiesce_ == nullptr) return;
   const Quiescence::Kind kind = quiesce_->kind;
   if (kind == Quiescence::Kind::EverySlot) return;
-  // Replay mode without tracing jumps change-to-change over the
-  // realization's digest bitsets instead of walking window rows; tracing
-  // needs every row, so it stays on the (replay-fed) row-wise loops.
-  const bool jump = realization_ != nullptr && !options_.record_trace;
+  const long before = slot_;
+  const bool jumped = jumping();
 
   if (!config_.empty()) {
     if (last_phase_ == Phase::Comm || last_phase_ == Phase::Stalled) {
@@ -595,39 +695,28 @@ void Engine::fast_forward() {
            message_completed_)) {
         return;
       }
-      // Enrolled-RLE jumps see only the enrolled workers; UntilEvent also
-      // stops at global events (gains), which the row walk checks.
-      const long before = slot_;
-      const bool jumped = jump && kind == Quiescence::Kind::WhileConfigured;
-      if (jumped) advance_comm_jump();
-      else advance_comm_run(kind);
+      advance_comm(kind);
       note_bulk_advance(telem_.bulk_runs_comm, telem_.bulk_slots_comm, before, jumped);
-      return;
+    } else {
+      // Compute-phase bulk advance. Only valid when the just-processed slot
+      // already was a compute/suspended slot: then the decision inputs
+      // (holdings, comm progress) are unchanged since the consult. A comm
+      // slot changes them, a completion slot cleared config_.
+      if (last_phase_ != Phase::Compute && last_phase_ != Phase::Suspended) return;
+      if (kind != Quiescence::Kind::WhileConfigured && !decision_no_change_) return;
+      advance_configured(kind);
+      note_bulk_advance(telem_.bulk_runs_configured, telem_.bulk_slots_configured,
+                        before, jumped);
     }
-    // Compute-phase bulk advance. Only valid when the just-processed slot
-    // already was a compute/suspended slot: then the decision inputs
-    // (holdings, comm progress) are unchanged since the consult. A comm
-    // slot changes them, a completion slot cleared config_.
-    if (last_phase_ != Phase::Compute && last_phase_ != Phase::Suspended) return;
-    if (kind != Quiescence::Kind::WhileConfigured && !decision_no_change_) return;
-    // Enrolled-RLE stretches only exist for WhileConfigured (other kinds
-    // stop at global events, which the row-wise window walk handles best).
-    const long before = slot_;
-    const bool jumped = jump && kind == Quiescence::Kind::WhileConfigured;
-    if (jumped) advance_configured_jump();
-    else advance_configured_run(kind);
-    note_bulk_advance(telem_.bulk_runs_configured, telem_.bulk_slots_configured,
-                      before, jumped);
   } else {
     // Idle bulk advance: the scheduler just declined to build (no UP
     // capacity). WhileConfigured says nothing about the no-config case.
     if (last_phase_ != Phase::Idle || !decision_no_change_) return;
     if (kind == Quiescence::Kind::WhileConfigured) return;
-    const long before = slot_;
-    if (jump) advance_idle_jump(kind);
-    else advance_idle_run(kind);
-    note_bulk_advance(telem_.bulk_runs_idle, telem_.bulk_slots_idle, before, jump);
+    advance_idle(kind);
+    note_bulk_advance(telem_.bulk_runs_idle, telem_.bulk_slots_idle, before, jumped);
   }
+  if (jumping()) resync_window();
 }
 
 void Engine::note_bulk_advance(long& runs, long& slots, long before, bool jumped) {
@@ -639,59 +728,51 @@ void Engine::note_bulk_advance(long& runs, long& slots, long before, bool jumped
   telem_.bulk_advance_slots.observe(static_cast<std::uint64_t>(advanced));
 }
 
-void Engine::advance_configured_run(Quiescence::Kind kind) {
-  const auto assigns = config_.assignments();
+void Engine::load_enrolled() {
+  enrolled_buf_.clear();
+  for (const auto& a : config_.assignments()) enrolled_buf_.push_back(a.proc);
+}
+
+bool Engine::bank_configured(long end, bool compute) {
+  const long run = end - slot_;
+  if (compute) {
+    compute_done_ += run;
+    current_iter_.compute_slots += run;
+  } else {
+    current_iter_.suspended_slots += run;
+  }
+  consume(end, compute);
+  if (!compute || compute_done_ < compute_total_) return false;
+  complete_iteration(slot_ - 1);
+  return true;
+}
+
+void Engine::advance_configured(Quiescence::Kind kind) {
+  load_enrolled();
+  bool compute = last_phase_ == Phase::Compute;
   while (slot_ < options_.slot_cap) {
-    if (block_pos_ == block_filled_) refill_block();
-    const auto pos = static_cast<std::size_t>(block_pos_);
-    const markov::State* row = peek_row();
-
-    // Scheduler events: the latched answer no longer covers the next slot.
-    if (kind != Quiescence::Kind::WhileConfigured) {
-      if (horizon_left_ <= 0) return;
-      if (kind == Quiescence::Kind::UntilUpSetChanges) {
-        if (digest_up_changed_[pos]) return;
-      } else {  // UntilEvent
-        if (digest_up_gain_[pos]) return;
-        if (digest_up_changed_[pos] &&
-            watched_membership_changed(prev_of_peeked(), row)) {
-          return;
-        }
-      }
+    const long seg = segment_end();
+    long limit = seg;
+    const long need = compute_total_ - compute_done_;
+    if (compute && need < limit - slot_) limit = slot_ + need;
+    const long stop = scheduler_stop(kind, limit);
+    const long change = enrolled_stable_until(stop);
+    if (bank_configured(change, compute)) return;
+    if (change == stop) {
+      if (stop < seg) return;  // a scheduler event (a need-capped stretch
+      continue;                // completed above); else the segment's end
     }
-
-    // Engine events: an enrolled worker going DOWN restarts the iteration
-    // (and re-consults) — hand the row to the per-slot path untouched.
-    bool any_down = false;
-    bool all_up = true;
-    for (const auto& a : assigns) {
-      const markov::State s = row[static_cast<std::size_t>(a.proc)];
-      if (s == markov::State::Down) {
-        any_down = true;
-        break;
-      }
-      if (s != markov::State::Up) all_up = false;
+    // An enrolled worker changed state at `change`, a slot the latched
+    // answer still covers. Unless the change restarts the iteration (an
+    // enrolled DOWN), reclassify and bank it alone, exactly as the per-slot
+    // path would, and carry on with the new classification.
+    compute = true;
+    for (int q : enrolled_buf_) {
+      const markov::State s = state_at(q, change);
+      if (s == markov::State::Down) return;
+      if (s != markov::State::Up) compute = false;
     }
-    if (any_down) return;
-
-    // Consume the row: one compute or suspended slot, bookkept exactly as
-    // the per-slot path would.
-    if (digest_new_down_[pos]) crash_down_in_row(row);  // un-enrolled DOWNs
-    ++block_pos_;
-    record_bulk_row(row, all_up);
-    if (all_up) {
-      ++compute_done_;
-      ++current_iter_.compute_slots;
-      if (compute_done_ >= compute_total_) {
-        complete_iteration();  // uses slot_ as the iteration's end slot
-        ++slot_;
-        return;
-      }
-    } else {
-      ++current_iter_.suspended_slots;
-    }
-    ++slot_;
-    if (kind != Quiescence::Kind::WhileConfigured) --horizon_left_;
+    if (bank_configured(change + 1, compute)) return;
   }
 }
 
@@ -718,107 +799,67 @@ void Engine::apply_comm_progress(std::size_t q, long slots) {
   }
 }
 
-void Engine::advance_comm_run(Quiescence::Kind kind) {
+void Engine::advance_comm(Quiescence::Kind kind) {
   // The just-processed slot may have finished the last transfer; the next
   // slot then belongs to the compute phase, not to a comm run.
   if (comm_phase_done()) return;
+  load_enrolled();
+  // Who gets served while the enrolled states hold (first ncom pending
+  // workers in enrollment order), and for how many slots: until some served
+  // transfer finishes (the served set then changes), an enrolled state
+  // changes, or the cap. A latched (UntilEvent) answer also ends with the
+  // first completed message, which changes a build input word; the
+  // completing slot itself is still covered.
   const bool latched = kind != Quiescence::Kind::WhileConfigured;
-  const auto assigns = config_.assignments();
-  // The reference pattern: the enrolled states of the just-processed slot.
-  // Copied out of block_ because a refill during the run overwrites it.
-  comm_ref_.assign(assigns.size(), markov::State::Up);
-  for (std::size_t i = 0; i < assigns.size(); ++i) {
-    comm_ref_[i] = states_[static_cast<std::size_t>(assigns[i].proc)];
-  }
-
-  // Who gets served while the pattern holds (first ncom pending workers in
-  // enrollment order), and for how many slots the pattern can hold: until
-  // some served transfer finishes (the served set then changes), an
-  // enrolled state changes, or the cap. A latched (UntilEvent) answer also
-  // ends with the first completed message, which changes a build input
-  // word; the completing slot itself is still covered.
   pending_.clear();
-  long serveable = 0;
   long finish_horizon = std::numeric_limits<long>::max();
-  for (std::size_t i = 0; i < assigns.size(); ++i) {
-    if (comm_ref_[i] != markov::State::Up) continue;
-    const auto q = static_cast<std::size_t>(assigns[i].proc);
-    if (comm_remaining_buf_[q] == 0) continue;
-    if (serveable < platform_.ncom()) {
-      pending_.push_back(assigns[i].proc);
-      long until = comm_remaining_buf_[q];
-      if (latched) {
-        const auto& h = holdings_[q];
-        const bool program = !h.has_program && app_.t_prog > 0;
-        until = (program ? app_.t_prog : app_.t_data) - h.partial_slots;
-      }
-      finish_horizon = std::min(finish_horizon, until);
-      ++serveable;
+  for (int proc : enrolled_buf_) {
+    const auto q = static_cast<std::size_t>(proc);
+    if (states_[q] != markov::State::Up || comm_remaining_buf_[q] == 0) continue;
+    if (static_cast<int>(pending_.size()) == platform_.ncom()) break;
+    pending_.push_back(proc);
+    long until = comm_remaining_buf_[q];
+    if (latched) {
+      const auto& h = holdings_[q];
+      const bool program = !h.has_program && app_.t_prog > 0;
+      until = (program ? app_.t_prog : app_.t_data) - h.partial_slots;
     }
+    finish_horizon = std::min(finish_horizon, until);
   }
 
-  long run = 0;
-  while (slot_ < options_.slot_cap && run < finish_horizon) {
-    if (block_pos_ == block_filled_) refill_block();
-    const auto pos = static_cast<std::size_t>(block_pos_);
-    const markov::State* row = peek_row();
-    // Scheduler events, exactly as in advance_configured_run.
-    if (latched) {
-      if (horizon_left_ <= 0) break;
-      if (digest_up_gain_[pos]) break;
-      if (digest_up_changed_[pos] && watched_membership_changed(prev_of_peeked(), row)) {
-        break;
-      }
-    }
-    bool pattern_holds = true;
-    for (std::size_t i = 0; i < assigns.size(); ++i) {
-      if (row[static_cast<std::size_t>(assigns[i].proc)] != comm_ref_[i]) {
-        pattern_holds = false;
-        break;
-      }
-    }
-    if (!pattern_holds) break;
-    if (digest_new_down_[pos]) {
-      crash_down_in_row(row);  // un-enrolled only: enrolled states match the
-                               // reference, which had no DOWN worker
-    }
-    ++block_pos_;
-    ++slot_;
-    ++run;
-    if (latched) --horizon_left_;
+  const long start = slot_;
+  const long end = finish_horizon < options_.slot_cap - slot_ ? slot_ + finish_horizon
+                                                              : options_.slot_cap;
+  // The run ends for good at its first stop (the served set or the answer
+  // may change there); only a segment boundary is crossed.
+  while (slot_ < end) {
+    const long seg = std::min(segment_end(), end);
+    const long stop = enrolled_stable_until(scheduler_stop(kind, seg));
+    consume(stop, false);
+    if (stop < seg) break;
   }
+  const long run = slot_ - start;
   if (run == 0) return;
   if (pending_.empty()) {
     // Every unfinished transfer is paused on a RECLAIMED worker.
     current_iter_.stalled_slots += run;
   } else {
     current_iter_.comm_slots += run;
-    for (int proc : pending_) {
-      apply_comm_progress(static_cast<std::size_t>(proc), run);
-    }
+    for (int proc : pending_) apply_comm_progress(static_cast<std::size_t>(proc), run);
   }
 }
 
-// --------------------------------------------------------------------------
-// Realization replay jumps (DESIGN.md §9), mirrors of the advance_*_run
-// loops above with the per-row work replaced by realization queries:
-//
-//   * WhileConfigured compute/suspend and comm runs advance by ENROLLED-SET
-//     homogeneous stretches read straight off the per-worker RLE intervals
-//     (Realization::stable_until). While every enrolled worker holds its
-//     state, the row-wise loop's per-slot outcome is frozen (all_up /
-//     any_down / the served comm set depend only on enrolled states), so a
-//     whole stretch is applied arithmetically; crashes of un-enrolled
-//     workers inside the stretch are applied in aggregate (down_overlaps —
-//     sound because crash() is idempotent and a DOWN worker's holdings
-//     cannot change until processed again).
-//   * Idle runs (and any horizon-latched kind) stop at GLOBAL events, so
-//     they jump over the digest bitsets (next_change) instead.
-//
-// Every slot examined individually reads the identical states and digest
-// values the row-wise loop would read from its window, so both paths take
-// the same decisions at the same slots: results are bit-identical.
-// --------------------------------------------------------------------------
+void Engine::advance_idle(Quiescence::Kind kind) {
+  // Idle stops are all scheduler events: a worker joining UP anywhere (or
+  // any UP-set change, or a watched change), or the horizon.
+  while (slot_ < options_.slot_cap) {
+    const long seg = segment_end();
+    const long stop = scheduler_stop(kind, seg);
+    result_.idle_slots += stop - slot_;
+    consume(stop, false);
+    if (stop < seg) return;
+  }
+}
 
 void Engine::resync_window() {
   // Jumps advance slot_ without consuming window rows. If the new position
@@ -830,12 +871,6 @@ void Engine::resync_window() {
     block_pos_ = 0;
     block_filled_ = 0;
   }
-}
-
-const markov::State* Engine::jump_row(long slot) {
-  realization_->ensure(slot + 1);
-  realization_->expand_rows(slot, slot + 1, row_scratch_.data());
-  return row_scratch_.data();
 }
 
 void Engine::switch_to_live() {
@@ -862,212 +897,6 @@ void Engine::switch_to_live() {
   block_slots_ = std::min(options_.avail_block, options_.slot_cap);
   block_pos_ = 0;
   block_filled_ = 0;
-}
-
-void Engine::crash_down_in_range(long begin, long end) {
-  // Aggregate process_downs over the skipped slots [begin, end]: any worker
-  // DOWN somewhere in the range is crashed once (idempotent; see above). No
-  // enrolled worker is ever DOWN inside a stretch, so this only sweeps
-  // up-for-grabs holdings of un-enrolled workers.
-  if (begin > end) return;
-  if (!realization_->any_new_down(begin, end)) return;  // nothing fresh to crash
-  for (std::size_t q = 0; q < holdings_.size(); ++q) {
-    // Empty holdings make crash() a no-op: skip the interval walk entirely.
-    // This prunes the sweep to the few workers actually holding program or
-    // data (the enrolled ones are holders but are never DOWN in a stretch —
-    // their walk just comes back false).
-    const model::Holdings& h = holdings_[q];
-    if (!h.has_program && h.data_messages == 0 && h.partial_slots == 0) continue;
-    if (realization_->down_overlaps(static_cast<int>(q), begin, end)) {
-      holdings_[q].crash();
-    }
-  }
-}
-
-void Engine::advance_configured_jump() {
-  // WhileConfigured only: the scheduler stays silent for the lifetime of
-  // the configuration, so the only stretch bounds are enrolled-state
-  // changes, iteration completion and the slot cap.
-  const auto assigns = config_.assignments();
-  enrolled_buf_.clear();
-  for (const auto& a : assigns) enrolled_buf_.push_back(a.proc);
-  // Frozen realizations end at their frontier: cap stretches there and hand
-  // the rest to the per-slot path, whose refill switches to live mode.
-  const long replay_end =
-      realization_->frozen() ? realization_->frontier() : options_.slot_cap;
-  bool all_up = last_phase_ == Phase::Compute;
-  while (slot_ < options_.slot_cap) {
-    if (slot_ >= replay_end) break;
-    long limit = std::min(options_.slot_cap, replay_end);
-    const long need = compute_total_ - compute_done_;
-    if (all_up && slot_ + need < limit) limit = slot_ + need;
-    const long e = realization_->stable_until(enrolled_buf_, slot_ - 1, limit);
-    const long run = e - slot_;
-    if (run > 0) {
-      if (all_up) {
-        if (run >= need) {
-          // The iteration completes inside the stretch.
-          crash_down_in_range(slot_, slot_ + need - 1);
-          compute_done_ = compute_total_;
-          current_iter_.compute_slots += need;
-          slot_ += need - 1;
-          complete_iteration();
-          ++slot_;
-          resync_window();
-          return;
-        }
-        compute_done_ += run;
-        current_iter_.compute_slots += run;
-      } else {
-        current_iter_.suspended_slots += run;
-      }
-      crash_down_in_range(slot_, e - 1);
-      slot_ = e;
-      if (slot_ >= options_.slot_cap) break;
-    }
-    if (slot_ >= replay_end) break;  // frozen boundary, not a change slot
-    // slot_ == e < cap: some enrolled worker changed state here. Reclassify
-    // from the RLE point lookups, exactly as the row-wise loop reads its row.
-    bool any_down = false;
-    bool row_all_up = true;
-    for (int proc : enrolled_buf_) {
-      const markov::State s = realization_->state_at(proc, slot_);
-      if (s == markov::State::Down) {
-        any_down = true;
-        break;
-      }
-      if (s != markov::State::Up) row_all_up = false;
-    }
-    if (any_down) break;  // restart: hand the slot to the per-slot path
-    crash_down_in_range(slot_, slot_);
-    if (row_all_up) {
-      ++compute_done_;
-      ++current_iter_.compute_slots;
-      if (compute_done_ >= compute_total_) {
-        complete_iteration();
-        ++slot_;
-        resync_window();
-        return;
-      }
-    } else {
-      ++current_iter_.suspended_slots;
-    }
-    ++slot_;
-    all_up = row_all_up;
-  }
-  resync_window();
-}
-
-void Engine::advance_comm_jump() {
-  // The just-processed slot may have finished the last transfer; the next
-  // slot then belongs to the compute phase, not to a comm run.
-  if (comm_phase_done()) return;
-  const auto assigns = config_.assignments();
-  // Who gets served while the enrolled states hold (first ncom pending
-  // workers in enrollment order), and for how long: until a served transfer
-  // finishes, an enrolled state changes, or the cap.
-  pending_.clear();
-  long serveable = 0;
-  long finish_horizon = std::numeric_limits<long>::max();
-  enrolled_buf_.clear();
-  for (const auto& a : assigns) {
-    enrolled_buf_.push_back(a.proc);
-    const auto q = static_cast<std::size_t>(a.proc);
-    if (states_[q] != markov::State::Up) continue;
-    if (comm_remaining_buf_[q] == 0) continue;
-    if (serveable < platform_.ncom()) {
-      pending_.push_back(a.proc);
-      finish_horizon = std::min(finish_horizon, comm_remaining_buf_[q]);
-      ++serveable;
-    }
-  }
-  long limit = options_.slot_cap;
-  if (realization_->frozen()) limit = std::min(limit, realization_->frontier());
-  if (limit <= slot_) return;  // at the frozen boundary: per-slot path switches
-  if (finish_horizon < limit - slot_) limit = slot_ + finish_horizon;  // no overflow
-  // One stretch is the whole run: the row-wise loop ends for good at the
-  // first enrolled-state deviation (or the horizon/cap), never resuming.
-  const long e = realization_->stable_until(enrolled_buf_, slot_ - 1, limit);
-  const long run = e - slot_;
-  if (run <= 0) return;
-  crash_down_in_range(slot_, e - 1);
-  if (pending_.empty()) {
-    // Every unfinished transfer is paused on a RECLAIMED worker.
-    current_iter_.stalled_slots += run;
-  } else {
-    current_iter_.comm_slots += run;
-    for (int proc : pending_) {
-      apply_comm_progress(static_cast<std::size_t>(proc), run);
-    }
-  }
-  slot_ = e;
-  resync_window();
-}
-
-void Engine::advance_idle_jump(Quiescence::Kind kind) {
-  // Idle stops are GLOBAL (a worker joining UP anywhere can end them), so
-  // the stretch oracle is the digest bitset scan, not the enrolled RLE.
-  const long replay_end =
-      realization_->frozen() ? realization_->frontier() : options_.slot_cap;
-  while (slot_ < options_.slot_cap) {
-    if (slot_ >= replay_end) break;  // frozen boundary: per-slot path switches
-    if (horizon_left_ <= 0) break;
-    long lim = std::min(options_.slot_cap, replay_end);
-    if (horizon_left_ < lim - slot_) lim = slot_ + horizon_left_;  // no overflow
-    const long event = realization_->next_change(slot_, lim);
-    const long run = event - slot_;
-    result_.idle_slots += run;
-    slot_ = event;
-    horizon_left_ -= run;
-    if (slot_ >= options_.slot_cap) break;
-    if (event == lim) continue;  // horizon boundary, not a change slot
-    const bool chg = realization_->up_changed_at(slot_);
-    if (kind == Quiescence::Kind::UntilUpSetChanges) {
-      if (chg) break;
-    } else {  // UntilEvent
-      if (realization_->up_gain_at(slot_)) break;
-      if (chg) {
-        const markov::State* row = jump_row(slot_);
-        realization_->expand_rows(slot_ - 1, slot_, prev_scratch_.data());
-        if (watched_membership_changed(prev_scratch_.data(), row)) break;
-      }
-    }
-    if (realization_->new_down_at(slot_)) crash_down_in_row(jump_row(slot_));
-    ++result_.idle_slots;
-    ++slot_;
-    --horizon_left_;
-  }
-  resync_window();
-}
-
-void Engine::advance_idle_run(Quiescence::Kind kind) {
-  while (slot_ < options_.slot_cap) {
-    if (block_pos_ == block_filled_) refill_block();
-    const auto pos = static_cast<std::size_t>(block_pos_);
-
-    if (horizon_left_ <= 0) return;
-    const markov::State* row = peek_row();
-    if (kind == Quiescence::Kind::UntilUpSetChanges) {
-      if (digest_up_changed_[pos]) return;
-    } else {  // UntilEvent: a worker joining, or a watched worker changing
-      if (digest_up_gain_[pos]) return;
-      if (digest_up_changed_[pos] &&
-          watched_membership_changed(prev_of_peeked(), row)) {
-        return;
-      }
-    }
-    if (digest_new_down_[pos]) crash_down_in_row(row);
-    ++block_pos_;
-    ++result_.idle_slots;
-    if (options_.record_trace) {
-      auto& tr = trace_.emplace_back(holdings_.size());
-      for (std::size_t q = 0; q < holdings_.size(); ++q) {
-        tr[q] = Cell{row[q], Action::None};
-      }
-    }
-    ++slot_;
-    --horizon_left_;
-  }
 }
 
 }  // namespace tcgrid::sim

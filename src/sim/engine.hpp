@@ -47,14 +47,14 @@ struct EngineOptions {
   /// hundred slots, and rows generated past the makespan are the single
   /// largest waste of availability sampling at 256.
   long avail_block = 64;
-  /// Event-horizon fast path (DESIGN.md §8): within each availability block
-  /// the engine bulk-advances runs of homogeneous slots — compute slots
-  /// while every enrolled worker is UP, suspended slots while some are only
-  /// RECLAIMED, idle slots with no configuration — consulting the scheduler
-  /// only at event slots its Quiescence report does not cover. Results
-  /// (counters, iteration stats AND traces) are bit-identical to the
-  /// per-slot loop for every scheduler honoring the quiescence contract;
-  /// false forces the legacy per-slot loop (ablation baseline).
+  /// Event-horizon fast path (DESIGN.md §8): the engine bulk-advances runs
+  /// of homogeneous slots — compute slots while every enrolled worker is
+  /// UP, suspended slots while some are only RECLAIMED, comm slots while the
+  /// served set holds, idle slots with no configuration — consulting the
+  /// scheduler only at event slots its Quiescence report does not cover.
+  /// Results (counters, iteration stats AND traces) are bit-identical to
+  /// the per-slot loop for every scheduler honoring the quiescence
+  /// contract; false forces the per-slot loop (the equivalence oracle).
   bool fast_forward = true;
 };
 
@@ -73,10 +73,12 @@ class Engine {
   /// of generating availability live. Rows are expanded from the
   /// realization's run-length intervals and the fast-forward digests are
   /// copied from its precomputed bitsets; when tracing is off, the
-  /// event-horizon loop additionally jumps change-to-change over the digest
-  /// bitsets without expanding the skipped rows at all. Results — counters,
-  /// iteration stats AND traces — are bit-identical to a live source built
-  /// from the same (family, seed, init). The realization is extended lazily,
+  /// event-horizon bulk advances read their stretches straight off the
+  /// intervals and bitsets without expanding the skipped rows at all.
+  /// Results — counters, iteration stats AND traces — are bit-identical to
+  /// a live source built from the same (family, seed, init), and so is the
+  /// execution telemetry (consults, per-slot steps, bulk-advanced slots),
+  /// frozen realizations included. The realization is extended lazily,
   /// so run() can throw platform::RealizationBudgetExceeded; the engine
   /// holds no state worth salvaging after that (construct a fresh one
   /// against a live source and rerun).
@@ -120,39 +122,64 @@ class Engine {
   void install(const model::Configuration& config);
   void serve_communications();
   void advance_computation();
-  void complete_iteration();
+  /// Close the current iteration; `slot` is its last (completing) slot.
+  void complete_iteration(long slot);
+  void refill_block();
 
-  // --- event-horizon fast path (DESIGN.md §8) ------------------------------
+  // --- event-horizon bulk advance (DESIGN.md §8-§9) ------------------------
+  // One loop per phase: stretch end (segment, need or finish horizon,
+  // first scheduler event, first enrolled change), applied arithmetically,
+  // then the stop slot.
   void fast_forward();
+  void advance_configured(Quiescence::Kind kind);
+  void advance_comm(Quiescence::Kind kind);
+  void advance_idle(Quiescence::Kind kind);
+  /// Bank [slot_, end) as compute (or suspended) slots; true when that
+  /// completed the iteration.
+  bool bank_configured(long end, bool compute);
+  void apply_comm_progress(std::size_t q, long slots);
+  /// Move slot_ to `end` over skipped slots: aggregate crashes, trace rows,
+  /// horizon bookkeeping.
+  void consume(long end, bool compute);
+  /// First slot in [slot_, limit) the latched answer does not cover
+  /// (horizon expiry, or a UP-set event its kind names), else `limit`.
+  [[nodiscard]] long scheduler_stop(Quiescence::Kind kind, long limit);
+  /// Whether a watched worker's UP-membership changes at `slot`.
+  [[nodiscard]] bool watched_membership_changed(long slot) const;
   /// Tally one bulk advance that moved slot_ from `before` to its current
   /// value into the given run/slot telemetry pair (no-op for zero-length).
   void note_bulk_advance(long& runs, long& slots, long before, bool jumped);
-  void advance_configured_run(Quiescence::Kind kind);
-  void advance_comm_run(Quiescence::Kind kind);
-  void advance_idle_run(Quiescence::Kind kind);
-  void apply_comm_progress(std::size_t q, long slots);
-  void refill_block();
+  void load_enrolled();
 
-  // --- realization replay: RLE-stretch jumps (DESIGN.md §9) ----------------
-  void advance_configured_jump();
-  void advance_comm_jump();
-  void advance_idle_jump(Quiescence::Kind kind);
+  // --- availability queries: the realization (replay without tracing) or
+  // the dense window (live and traced runs), picked by jumping() once per
+  // query, never per row; both backends answer every query identically ---
+  [[nodiscard]] bool jumping() const noexcept {
+    return realization_ != nullptr && !options_.record_trace;
+  }
+  /// End of the segment holding slot_ (the window, a frozen realization's
+  /// replayed prefix, or the cap); refills the window or switches to live
+  /// when slot_ sits at the previous segment's end.
+  [[nodiscard]] long segment_end();
+  /// First slot in [from, limit) with a UP-membership change or a fresh
+  /// DOWN, else `limit`.
+  [[nodiscard]] long next_change(long from, long limit);
+  [[nodiscard]] bool up_changed_at(long slot) const;
+  [[nodiscard]] bool up_gain_at(long slot) const;
+  /// First slot in [slot_, limit) where an enrolled worker's state differs
+  /// from slot_ - 1, else `limit`.
+  [[nodiscard]] long enrolled_stable_until(long limit);
+  /// Row `slot` of the dense window (or the row just before it).
+  [[nodiscard]] const markov::State* window_row(long slot) const;
+  [[nodiscard]] markov::State state_at(int q, long slot) const;
+  /// Crash the workers newly DOWN in [begin, end).
+  void crash_downs(long begin, long end);
   void resync_window();
-  void crash_down_in_range(long begin, long end);
-  [[nodiscard]] const markov::State* jump_row(long slot);
   /// Frozen-realization hand-off: continue on the embedded source (standing
   /// exactly at slot_ == frontier) as an ordinary live engine. The replayed
   /// prefix and the live tail are one unbroken stream, so results are
   /// unchanged.
   void switch_to_live();
-  [[nodiscard]] const markov::State* peek_row() const {
-    return block_.data() + static_cast<std::size_t>(block_pos_) * states_.size();
-  }
-  [[nodiscard]] const markov::State* prev_of_peeked() const;
-  [[nodiscard]] bool watched_membership_changed(const markov::State* prev,
-                                                const markov::State* row) const;
-  void crash_down_in_row(const markov::State* row);
-  void record_bulk_row(const markov::State* row, bool compute);
 
   // --- helpers ---------------------------------------------------------
   [[nodiscard]] long comm_remaining(int q) const;
@@ -183,7 +210,7 @@ class Engine {
   long block_slots_ = 0;              ///< min(avail_block, slot_cap)
   long block_pos_ = 0;                ///< rows of block_ already consumed
   long block_filled_ = 0;             ///< rows of block_ currently valid
-  long block_base_ = 0;               ///< slot of block_ row 0 (replay mode)
+  long block_base_ = 0;               ///< slot of block_ row 0
   std::vector<model::Holdings> holdings_;
   model::Configuration config_;
   long compute_total_ = 0;
@@ -224,10 +251,7 @@ class Engine {
   std::vector<int> pending_;     ///< serve_communications candidates
   std::vector<long> seen_mark_;  ///< per-proc stamp for duplicate detection
   long seen_gen_ = 0;
-  std::vector<markov::State> comm_ref_;  ///< enrolled-state pattern of a comm run
-  std::vector<markov::State> row_scratch_;   ///< event-row expansion (replay)
-  std::vector<markov::State> prev_scratch_;  ///< its predecessor row (replay)
-  std::vector<int> enrolled_buf_;            ///< enrolled procs of a stretch
+  std::vector<int> enrolled_buf_;            ///< enrolled procs of a bulk advance
 
   // bookkeeping
   SimulationResult result_;

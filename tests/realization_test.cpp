@@ -4,9 +4,11 @@
 //     generation for every registered availability family, and its digest
 //     bitsets match the engine's per-block digest definitions;
 //   * position() tracks consumption on every source;
-//   * the engine's replay path — window refills AND the change-to-change
-//     jump loops — is bit-identical to live generation for every heuristic
-//     across families, traces included;
+//   * the engine's replay path — window refills AND the realization
+//     backend of the bulk advances — is bit-identical to live generation
+//     for every heuristic across families, traces included, and takes the
+//     live engine's steps (consults, per-slot steps, bulk slots), frozen
+//     realizations included;
 //   * the byte budget throws, and api::Session falls back to live
 //     generation with identical sweep results (shared / tiny-budget /
 //     disabled all agree);
@@ -15,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -26,6 +29,7 @@
 #include "scen/scen.hpp"
 #include "sched/registry.hpp"
 #include "sim/engine.hpp"
+#include "util/parallel.hpp"
 
 namespace tcgrid {
 namespace {
@@ -238,8 +242,8 @@ TEST(Realization, RejectsAdvancedSource) {
 // ------------------------------------------------------------ engine replay ----
 
 /// Live vs replayed runs for one (scenario, family, heuristic, trial):
-/// untraced (exercising the change-to-change jump loops) and traced
-/// (exercising the replay window path) — all three bit-identical.
+/// untraced (exercising the realization backend) and traced (exercising
+/// the replay window) — all three bit-identical.
 void expect_replay_identical(const platform::Scenario& scenario,
                              const sched::Estimator& estimator,
                              Realization& realization, const std::string& family,
@@ -350,6 +354,90 @@ TEST(Replay, BitIdenticalOnPerSlotEngineLoop) {
                               /*fast_forward=*/false);
     }
   }
+}
+
+/// The execution-strategy footprint of one run: how it was stepped, not
+/// what it computed.
+struct Steps {
+  long consults;
+  long per_slot;
+  long comm;
+  long configured;
+  long idle;
+  bool operator==(const Steps&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Steps& s) {
+  return os << "{consults " << s.consults << ", per-slot " << s.per_slot << ", bulk comm "
+            << s.comm << ", configured " << s.configured << ", idle " << s.idle << "}";
+}
+
+TEST(Replay, LiveAndReplayTakeTheSameSteps) {
+  // The replay backend is a faster way to take the live engine's steps, not
+  // a different schedule of steps: the same consults, the same per-slot
+  // steps and the same bulk-advanced slots per phase. A frozen realization's
+  // frontier is a segment boundary the bulk advance crosses (switching to
+  // live), never a slot handed to the per-slot loop.
+  std::vector<std::string> heuristics = sched::all_heuristic_names();
+  for (const auto& n : sched::extension_heuristic_names()) heuristics.push_back(n);
+  // One worker per family (independent sessions): the extension heuristics
+  // are consulted every slot, which makes this the suite's longest test.
+  const std::vector<std::string> families = {"markov", "weibull", "daynight"};
+  util::parallel_for(families.size(), [&](std::size_t f) {
+    const std::string& family = families[f];
+    api::ExperimentSpec spec = api::ExperimentSpec::reduced(5, 20'000);
+    spec.options.seed = 42;
+    spec.grid.ncoms = {5, 10};
+    spec.grid.wmins = {1, 4, 10};
+    spec.grid.scenarios_per_cell = 1;
+    spec.scenario_space.availability = family;
+    const api::Options& options = spec.options;
+    const auto fam = scen::availability_family(family);
+    api::Session session(options);
+    for (const platform::ScenarioParams& params : spec.scenarios()) {
+      const platform::Scenario& scenario = session.scenario_for(params);
+      const sched::Estimator& estimator = session.estimator_for(params);
+      for (int trial = 0; trial < 2; ++trial) {
+        const std::uint64_t avail_seed = expt::trial_seed(scenario, trial);
+        const std::uint64_t sched_seed = util::derive_seed(
+            scenario.params.seed, 2000 + static_cast<std::uint64_t>(trial));
+        auto source = [&] {
+          return fam->make_source(scenario.platform, avail_seed, options.init);
+        };
+        Realization shared(source());
+        for (const auto& heuristic : heuristics) {
+          SCOPED_TRACE(family + " seed " + std::to_string(params.seed) +
+                       " trial " + std::to_string(trial) + " / " + heuristic);
+          auto steps = [&](sim::Engine&& engine) {
+            (void)engine.run();
+            const sim::RunTelemetry& t = engine.telemetry();
+            return Steps{engine.consults(), t.per_slot_steps, t.bulk_slots_comm,
+                         t.bulk_slots_configured, t.bulk_slots_idle};
+          };
+          auto sched = [&] {
+            return sched::make_scheduler(heuristic, estimator, sched_seed);
+          };
+          auto s0 = sched();
+          auto live_src = source();
+          const Steps live = steps(sim::Engine(scenario.platform, scenario.app, *live_src,
+                                               *s0, options.engine()));
+          auto s1 = sched();
+          EXPECT_EQ(live, steps(sim::Engine(scenario.platform, scenario.app, shared, *s1,
+                                            options.engine())))
+              << "unfrozen replay";
+          for (const long frontier : {100L, 1000L}) {
+            Realization frozen(source());
+            frozen.ensure(frontier);
+            frozen.freeze();
+            auto s2 = sched();
+            EXPECT_EQ(live, steps(sim::Engine(scenario.platform, scenario.app, frozen,
+                                              *s2, options.engine())))
+                << "replay frozen after ensure(" << frontier << ")";
+          }
+        }
+      }
+    }
+  }, families.size());
 }
 
 // ------------------------------------------------------------ trial-major api ----

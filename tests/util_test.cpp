@@ -1,4 +1,4 @@
-// Unit tests for src/util: rng, cli, table, csv, thread pool.
+// Unit tests for src/util: rng, cli, table, csv, parallel_for.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,7 @@
 #include "util/csv.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
+#include "util/parallel.hpp"
 
 namespace tcgrid {
 namespace {
@@ -235,15 +235,7 @@ TEST(Csv, ArityMismatchThrows) {
   EXPECT_THROW(csv.add_row({"1", "2"}), std::invalid_argument);
 }
 
-// -------------------------------------------------------- thread pool ----
-
-TEST(ThreadPool, RunsAllTasks) {
-  util::ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
+// -------------------------------------------------------- parallel_for ----
 
 TEST(ParallelFor, CoversAllIndicesOnce) {
   std::vector<std::atomic<int>> hits(257);

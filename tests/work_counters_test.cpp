@@ -89,7 +89,7 @@ TEST(WorkCounters, ExactPerHeuristicCountsRepeatAndMatchTheRecordedTable) {
       {12982, 12982, 28462, 11882},   // E-IAY
       {13924, 13924, 28627, 560},     // Y-IE
       {546, 1072, 47676, 0},          // IY
-      {25559, 39765, 163585, 0},      // RANDOM
+      {25559, 39761, 163589, 0},      // RANDOM
   };
   ASSERT_EQ(recorded.size(), heuristics.size());
   for (int pass = 0; pass < 2; ++pass) {

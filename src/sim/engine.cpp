@@ -138,7 +138,7 @@ void Engine::refill_block() {
     // Replay window: rows come from the realization's RLE intervals and the
     // digests from its precomputed bitsets — nothing is generated or
     // re-digested. The window always restarts at the current slot, so it is
-    // valid after change-to-change jumps as well as after sequential
+    // valid after bulk advances that skip rows as well as after sequential
     // consumption (the two ways the previous window empties).
     const long base = slot_;
     long hi = std::min(base + block_slots_, options_.slot_cap);

@@ -38,8 +38,9 @@ struct SimulationResult {
 /// IterationStats: the bench digest gates (bench_common.hpp DigestSink)
 /// hash every result field and require bit-identity across fast-forward
 /// on/off and replay/live, while these tallies are a property of HOW the
-/// run executed (per-slot steps vs bulk runs vs replay jumps) and differ
-/// structurally between the strategies even though the results agree.
+/// run executed (per-slot steps vs bulk runs) and differ between
+/// fast_forward on and off even though the results agree. Replay and live
+/// runs take the same steps; only replay_jumps tells them apart.
 struct RunTelemetry {
   long per_slot_steps = 0;        ///< slots taken by the per-slot loop
   long bulk_runs_comm = 0;        ///< comm-phase bulk advances
@@ -48,7 +49,7 @@ struct RunTelemetry {
   long bulk_slots_comm = 0;       ///< slots covered by those advances…
   long bulk_slots_configured = 0;
   long bulk_slots_idle = 0;
-  long replay_jumps = 0;  ///< bulk advances taken via digest-bitset jumps
+  long replay_jumps = 0;  ///< bulk advances read off a realization
   /// Length distribution of every bulk advance (slots per advance).
   obs::LocalHistogram bulk_advance_slots;
 };

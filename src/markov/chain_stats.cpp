@@ -17,15 +17,13 @@ namespace {
 struct StoreMetrics {
   obs::Histogram intern_us;   ///< intern() latency (hits and misses)
   obs::Histogram grow_us;     ///< survival-table extension latency (misses only)
-  obs::Counter retirements;   ///< survival arrays retired by grow-copy
 };
 
 StoreMetrics& store_metrics() {
   static StoreMetrics m = [] {
     obs::Registry& reg = obs::Registry::instance();
     return StoreMetrics{reg.histogram("tcgrid_chainstats_intern_us"),
-                        reg.histogram("tcgrid_chainstats_survival_grow_us"),
-                        reg.counter("tcgrid_chainstats_retired_arrays_total")};
+                        reg.histogram("tcgrid_chainstats_survival_grow_us")};
   }();
   return m;
 }
@@ -34,32 +32,41 @@ StoreMetrics& store_metrics() {
 
 // ----------------------------------------------------------- ChainSurvival ----
 
-void ChainSurvival::reserve_for(long n) {
+ChainSurvival::~ChainSurvival() {
+  for (int k = 0; k < kSegments; ++k) {
+    if ((heap_ >> k) & 1u) delete[] segments_[k].load(std::memory_order_relaxed);
+  }
+}
+
+void ChainSurvival::open_segment(long n) {
   // `n` is the next entry index AND the count of entries written so far in
   // this append burst (published <= n; the tail is not yet visible to
-  // readers but must survive the copy).
-  if (n < capacity_) return;
-  const long grown = std::max<long>(4096, capacity_ * 2);
-  const long cap = std::max(grown, n + 1);
-  auto next = std::make_unique<double[]>(static_cast<std::size_t>(cap));
-  // Entries are immutable once written: copy them, secure ownership, and
-  // only then publish the new array — and publish it BEFORE the new length
-  // ever is (a reader that acquires a published length therefore always
-  // finds an array holding at least that many entries). Ownership first: if
-  // arrays_.push_back threw after the store, unwinding would free an array
-  // lock-free readers can already be dereferencing. The old array is
-  // retired, not freed — readers (and pointers cached after an earlier
-  // acquire) may still hold it.
-  if (write_ != nullptr) {
-    std::copy(write_, write_ + n, next.get());
-    store_metrics().retirements.inc();
+  // readers). Every entry below n sits in an earlier segment except, for a
+  // seeded table, the mapped head of the segment straddling the mapped
+  // frontier: that one is copied to heap here, at the first growth past it.
+  const auto u = static_cast<unsigned long>(n + kFirstSegment);
+  const int top = std::bit_width(u) - 1;
+  const int k = top - kFirstShift;
+  if (k >= kSegments) throw std::length_error("ChainSurvival: table full");
+  const long base = (1L << top) - kFirstSegment;
+  const long size = kFirstSegment << k;
+  // Default-initialized: no zero fill, every entry is written before a
+  // published length covers it.
+  auto* fresh = new double[static_cast<std::size_t>(size)];
+  if (const double* mapped = segments_[k].load(std::memory_order_relaxed)) {
+    std::copy(mapped, mapped + (n - base), fresh);
   }
-  arrays_.push_back(std::move(next));
-  write_ = arrays_.back().get();
-  capacity_ = cap;
-  flat_.store(write_, std::memory_order_release);
+  // Own it before any reader can see it, then publish the pointer BEFORE
+  // the length that covers it ever is. A re-pointed straddler's readers may
+  // still hold the mapped pointer: it stays valid, and its doubles are the
+  // ones just copied.
+  heap_ |= 1u << k;
+  segments_[k].store(fresh, std::memory_order_release);
+  write_ = fresh;
+  write_base_ = base;
+  write_end_ = base + size;
   if (bytes_ != nullptr) {
-    bytes_->fetch_add(static_cast<std::size_t>(cap) * sizeof(double),
+    bytes_->fetch_add(static_cast<std::size_t>(size) * sizeof(double),
                       std::memory_order_relaxed);
   }
 }
@@ -68,19 +75,19 @@ double ChainSurvival::grow_to(long t) {
   if (t <= 0) return 1.0;
   const std::lock_guard<std::mutex> lock(mu_);
   long n = published_.load(std::memory_order_relaxed);
-  if (t < n) return write_[t];
+  if (t < n) return at(t);
   // Underflow cap: the survival probability is a sum of non-negative
   // doubles, so once an entry is exactly 0.0 every later entry is the
   // identical 0.0 — stop tabulating and answer 0.0 directly. Without this,
   // near-hopeless communication phases (e_comm grows exponentially in the
   // remaining slots) extend the table to millions of explicit zeros and
   // dominate whole sweeps.
-  if (n > 0 && write_[n - 1] == 0.0) return 0.0;
+  if (n > 0 && at(n - 1) == 0.0) return 0.0;
   // Past the published/zero-cap fast paths: everything below is real append
   // work, the latency this histogram is for.
   const obs::ScopedTimer timer(store_metrics().grow_us);
   if (n == 0) {
-    reserve_for(0);
+    open_segment(0);
     write_[0] = 1.0;  // t = 0; row_ is e_U already
     n = 1;
   }
@@ -99,20 +106,20 @@ double ChainSurvival::grow_to(long t) {
     // cores — snap to the terminal 0.0 a few thousand slots early instead
     // of crawling through the denormal tail entry by entry.
     if (s < std::numeric_limits<double>::min()) s = 0.0;
-    reserve_for(n);
-    write_[n] = s;
+    if (n >= write_end_) open_segment(n);
+    write_[n - write_base_] = s;
     ++n;
     if (s == 0.0) break;  // all later entries are equal zeros
   }
   extend_monotone(published_.load(std::memory_order_relaxed), n);
   published_.store(n, std::memory_order_release);
-  return t < n ? write_[t] : 0.0;
+  return t < n ? at(t) : 0.0;
 }
 
 void ChainSurvival::extend_monotone(long from, long n) noexcept {
   long m = monotone_.load(std::memory_order_relaxed);
   if (m < from) return;  // broken earlier: the prefix never grows again
-  while (m < n && (m == 0 || write_[m] <= write_[m - 1])) ++m;
+  while (m < n && (m == 0 || at(m) <= at(m - 1))) ++m;
   monotone_.store(m, std::memory_order_release);
 }
 
@@ -120,25 +127,32 @@ void ChainSurvival::seed_from(const double* data, long len, UrRow row) {
   assert(len > 0 && "seed_from: empty prefix has nothing to seed");
   assert(published_.load(std::memory_order_relaxed) == 0 &&
          "seed_from: table already populated");
-  // The mapped array is published as the flat array directly — served at
-  // the same lock-free depth as a heap array — but NEVER written through:
-  // capacity_ == len means the very first append hits reserve_for, which
-  // grow-copies the mapped prefix to heap and retires the mapped pointer
-  // (the mapping itself stays alive in the PersistentChainStats that served
-  // it, exactly like a retired heap array stays in arrays_).
-  write_ = const_cast<double*>(data);
-  capacity_ = len;
+  // Every segment holding a mapped entry points into the mapping — served
+  // at the same lock-free depth as a heap segment — but is NEVER written
+  // through: heap_ stays clear for them, and write_end_ == 0 sends the
+  // first append to open_segment, which copies the straddling segment's
+  // mapped head to heap (or opens the next segment when the mapping ends
+  // on a boundary).
+  for (long base = 0, size = kFirstSegment, k = 0; base < len;
+       base += size, size *= 2, ++k) {
+    segments_[static_cast<std::size_t>(k)].store(data + base,
+                                                 std::memory_order_release);
+  }
   row_ = row;
   extend_monotone(0, len);
-  flat_.store(data, std::memory_order_release);
   published_.store(len, std::memory_order_release);
 }
 
 UrRow ChainSurvival::snapshot(std::vector<double>& out) {
   const std::lock_guard<std::mutex> lock(mu_);
   const long n = published_.load(std::memory_order_relaxed);
-  out.clear();
-  if (n > 0) out.assign(write_, write_ + n);
+  out.resize(static_cast<std::size_t>(n));
+  for (long base = 0, size = kFirstSegment, k = 0; base < n;
+       base += size, size *= 2, ++k) {
+    const double* seg = segments_[static_cast<std::size_t>(k)].load(
+        std::memory_order_relaxed);
+    std::copy(seg, seg + std::min(size, n - base), out.begin() + base);
+  }
   return row_;
 }
 

@@ -32,9 +32,9 @@
 //     std::call_once, so an expensive renewal recursion never blocks other
 //     keys;
 //   * survival tables are append-only: published-prefix reads are lock-free
-//     (atomic published length + an atomically published flat array whose
-//     predecessors are retired, never freed, on growth), appends serialize
-//     on a per-chain mutex. Stored doubles are produced by
+//     (atomic published length + address-stable segments that never move
+//     or get freed while the store lives), appends serialize on a
+//     per-chain mutex. Stored doubles are produced by
 //     the exact UrRow advance sequence the per-estimator tables used, so
 //     they are bit-identical to the tables they replace;
 //   * CoupledStats values are returned BY VALUE (a 4-scalar quad): callers
@@ -47,6 +47,7 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -70,39 +71,50 @@ using ChainId = std::uint32_t;
 /// the exact double the per-estimator tables tabulated (same UrRow advance
 /// sequence, same subnormal cut, same exact-zero cap).
 ///
-/// Storage is one flat array read lock-free at vector depth (pointer +
-/// index); appends serialize on the per-chain mutex and publish the new
-/// length with release/acquire. When the array fills, growth allocates a
-/// larger one, copies the (immutable) published prefix, publishes the new
-/// pointer — and RETIRES the old array instead of freeing it, so a
-/// concurrent lock-free reader (or a pointer another thread cached after an
-/// earlier published() acquire) keeps dereferencing valid memory for the
-/// store's lifetime. Retired capacity is a geometric series below one final
-/// capacity per chain; counters().bytes accounts for all of it. Entries,
-/// once published, never change; the table never shrinks.
+/// Storage is a run of address-stable segments: segment k holds
+/// kFirstSegment << k entries and starts at entry kFirstSegment * (2^k - 1),
+/// so the capacity doubles with each segment while no entry ever moves.
+/// Segment pointers live inline; a read is the published-length acquire,
+/// the segment and offset computed from t, and one load. Appends serialize
+/// on the per-chain mutex, write into a segment allocated without zero fill
+/// (entries are written before any length that covers them is published),
+/// and store each new segment pointer (release) before the length that
+/// covers it. Allocated segments are the only survival bytes
+/// counters().bytes accounts: at most 2 x 8 bytes per published entry
+/// plus one first segment. Entries, once published, never change; the
+/// table never shrinks.
+///
+/// A table seeded from a persistent generation (DESIGN.md §14) points its
+/// segments into the read-only mapping: segments wholly inside the mapped
+/// prefix stay there for good, and the one straddling the mapped frontier
+/// is copied to heap and re-pointed (release) by the first growth past it.
+/// A reader holding the old pointer keeps reading the identical mapped
+/// doubles: the mapping is never unmapped while the store lives.
 class ChainSurvival {
  public:
+  /// Entries in segment 0; segment k holds kFirstSegment << k.
+  static constexpr long kFirstSegment = 64;
+
   ChainSurvival() = default;
   ChainSurvival(const ChainSurvival&) = delete;
   ChainSurvival& operator=(const ChainSurvival&) = delete;
+  ~ChainSurvival();
 
   /// Number of tabulated entries visible to this thread (acquire).
   [[nodiscard]] long published() const noexcept {
     return published_.load(std::memory_order_acquire);
   }
 
-  /// The table array. Read it only after published(); entries t < that
-  /// published() are valid in whatever array this returns (arrays only
-  /// ever grow-copy). The acquire is load-bearing: this load may observe an
-  /// array NEWER than the one published() synchronized with, and it is the
-  /// pairing with reserve_for()'s release store that orders that array's
-  /// grow-copy before our reads of it.
-  [[nodiscard]] const double* flat() const noexcept {
-    return flat_.load(std::memory_order_acquire);
+  /// Entry t; only valid for t < published(). The segment load is an
+  /// acquire: it may observe a straddling segment re-pointed after the
+  /// published() this thread synchronized with, and the pairing with that
+  /// re-point's release store orders its copy before our read.
+  [[nodiscard]] double at(long t) const noexcept {
+    const auto u = static_cast<unsigned long>(t + kFirstSegment);
+    const int top = std::bit_width(u) - 1;
+    const double* seg = segments_[top - kFirstShift].load(std::memory_order_acquire);
+    return seg[u ^ (1ul << top)];
   }
-
-  /// Entry t; only valid for t < published().
-  [[nodiscard]] double at(long t) const noexcept { return flat()[t]; }
 
   /// P(not DOWN within t slots) for t at or past the published frontier:
   /// extends the table under the per-chain mutex (or answers 0.0 directly
@@ -119,44 +131,53 @@ class ChainSurvival {
     const long n = published();
     const long m = monotone_.load(std::memory_order_acquire);
     if (t < m) return true;
-    return m >= n && n > 0 && flat()[n - 1] == 0.0;
+    return m >= n && n > 0 && at(n - 1) == 0.0;
   }
 
  private:
   friend class ChainStatsStore;
 
-  /// Make room for entry `n` (under mu_): grow-copy when full.
-  void reserve_for(long n);
+  static constexpr int kFirstShift = std::countr_zero(
+      static_cast<unsigned long>(kFirstSegment));
+  static_assert(kFirstSegment == 1L << kFirstShift,
+                "segment arithmetic needs a power-of-two first segment");
+  /// Capacity kFirstSegment * (2^32 - 1) entries, far past any slot cap.
+  static constexpr int kSegments = 32;
+
+  /// Make entry `n` writable (under mu_): allocate its segment, or copy the
+  /// seeded prefix of the straddling segment to heap and re-point it.
+  void open_segment(long n);
 
   /// Seed the table from a persistent generation's mapped flat array
-  /// (markov::PersistentChainStats): publishes `data`/`len` directly — zero
-  /// copies, zero heap — with `row` standing at entry len-1, so the first
-  /// grow_to past the mapped frontier resumes the exact advance sequence a
-  /// from-scratch tabulation would have run (grow-copies the mapped prefix
-  /// to heap first, retiring the mapped pointer exactly like a full array).
-  /// Must be called before the owning store publishes the entry (no
-  /// concurrent readers yet); the mapping must outlive the store.
+  /// (markov::PersistentChainStats): points the segments covering
+  /// data[0, len) into it and publishes `len` — zero copies, zero heap —
+  /// with `row` standing at entry len-1, so the first grow_to past the
+  /// mapped frontier resumes the exact advance sequence a from-scratch
+  /// tabulation would have run. Must be called before the owning store
+  /// publishes the entry (no concurrent readers yet); the mapping must
+  /// outlive the store.
   void seed_from(const double* data, long len, UrRow row);
 
   /// Copy the published prefix (under mu_) into `out` and return the row
   /// standing at entry published-1 — the persistable frontier state.
   UrRow snapshot(std::vector<double>& out);
 
-  /// Extend monotone_ over the entries [from, n) of write_ (under mu_, or
-  /// before the entry is published).
+  /// Extend monotone_ over the entries [from, n) (under mu_, or before the
+  /// entry is published).
   void extend_monotone(long from, long n) noexcept;
 
-  std::atomic<const double*> flat_{nullptr};
+  std::array<std::atomic<const double*>, kSegments> segments_{};
   std::atomic<long> published_{0};
   /// Length of the longest non-increasing prefix of the table (float64
   /// rounding can break it: a failure-free chain's u + r drifts by an ulp).
   std::atomic<long> monotone_{0};
   std::mutex mu_;   ///< serializes appends only
-  long capacity_ = 0;
-  double* write_ = nullptr;  ///< the current array, mutably (== flat_)
-  /// Every array ever allocated, newest last — retired ones stay alive for
-  /// lock-free readers (see class comment).
-  std::vector<std::unique_ptr<double[]>> arrays_;
+  /// The heap segment being appended to, covering entries [write_base_,
+  /// write_end_); write_end_ == 0 until the first append opens one.
+  double* write_ = nullptr;
+  long write_base_ = 0;
+  long write_end_ = 0;
+  std::uint32_t heap_ = 0;  ///< bit k set: segment k is heap-owned
   UrRow row_;                         ///< stands at entry published-1 once seeded
   const UrMatrix* chain_ = nullptr;   ///< set by the owning store
   std::atomic<std::size_t>* bytes_ = nullptr;  ///< store-level byte accounting
@@ -213,7 +234,7 @@ class ChainStatsStore {
     std::size_t set_hits = 0;      ///< set_stats() calls answered by an entry
     std::size_t set_misses = 0;    ///< set_stats() calls that created one
     std::size_t survival_entries = 0;  ///< published survival doubles, all chains
-    std::size_t bytes = 0;  ///< resident bytes (entries + all survival arrays)
+    std::size_t bytes = 0;  ///< resident bytes (entries + heap survival segments)
   };
   [[nodiscard]] Counters counters() const;
 

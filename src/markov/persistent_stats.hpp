@@ -12,9 +12,10 @@
 //
 //   * chain entries are keyed by the 4x64-bit pattern of (uu, ur, ru, rr) —
 //     the exact key ChainStatsStore::intern uses — and carry the stats quad,
-//     a flat survival prefix (served directly from the mapping: the same
-//     lock-free pointer+index read path as the in-memory flat arrays, after
-//     a one-time seed), and the UrRow frontier standing at the last entry,
+//     a flat survival prefix (served directly from the mapping: a seeded
+//     table points its segments into it and reads them on the same
+//     lock-free path as heap segments), and the UrRow frontier standing at
+//     the last entry,
 //     so growth past the mapped prefix resumes the exact advance sequence;
 //   * set entries are keyed by the sorted multiset of chain content keys
 //     (ids are store-local and meaningless across processes);
@@ -23,10 +24,11 @@
 //     footer (magic + counts + file size + checksum), so a torn file never
 //     loads: any validation failure skips the whole generation, counted,
 //     never crashing, and the next flush re-persists whatever it held;
-//   * generations are never unmapped while the object lives — the file
-//     analogue of the in-memory store's retired survival arrays: refresh()
-//     only ever ADDS mappings, so pointers served to seeded tables stay
-//     valid for the object's (and therefore the owning store's) lifetime.
+//   * generations are never unmapped while the object lives: refresh()
+//     only ever ADDS mappings, so pointers served to seeded tables — kept
+//     by lock-free readers even after a straddling segment is re-pointed
+//     to heap — stay valid for the object's (and therefore the owning
+//     store's) lifetime.
 //
 // Concurrency: lookups and refresh take one mutex (they run only on store
 // misses — cold construction — never on the estimator hot path); survival

@@ -179,18 +179,17 @@ class Estimator {
   /// Table-hit fast path inline: this sits under every §V-B evaluation
   /// (two calls per evaluate, tens of millions per sweep), where the
   /// out-of-line call itself was measurable. The table is the chain's
-  /// shared store table, read lock-free at the exact depth of the old
-  /// private flat vector (published-length acquire + pointer + index); the
-  /// terminal exact-zero answer is also inline and lock-free, because once
-  /// the table ends in 0.0 it is complete forever. Only growth goes out of
-  /// line (per-chain append mutex).
+  /// shared store table, read lock-free: published-length acquire, then
+  /// segment and offset from t and one load, whether the segment is heap
+  /// or a persistent mapping. The terminal exact-zero answer is also inline
+  /// and lock-free, because once the table ends in 0.0 it is complete
+  /// forever. Only growth goes out of line (per-chain append mutex).
   [[nodiscard]] double p_no_down(int q, long t) const {
     if (t <= 0) return 1.0;
     markov::ChainSurvival& s = *surv_of_[static_cast<std::size_t>(q)];
     const long n = s.published();
-    const double* flat = s.flat();
-    if (t < n) return flat[t];
-    if (n > 0 && flat[n - 1] == 0.0) return 0.0;
+    if (t < n) return s.at(t);
+    if (n > 0 && s.at(n - 1) == 0.0) return 0.0;
     return s.grow_to(t);
   }
 

@@ -57,7 +57,9 @@ struct TenantQuota {
   /// materialized availability per (scenario, trial) unit). 0 forces live
   /// generation for every unit of the tenant.
   std::size_t realization_budget = 64ull << 20;
-  /// Retention bound on the tenant session's chain-statistics store; see
+  /// Retention bound on the tenant session's chain-statistics store, in
+  /// counters().bytes: interned entries plus allocated survival segments,
+  /// which stay within twice the published doubles (DESIGN.md §10). See
   /// the DRAINING protocol above.
   std::size_t chain_store_bytes = 512ull << 20;
 };

@@ -18,9 +18,9 @@ namespace tcgrid::util {
 
 /// A read-only mmap of a whole regular file. Move-only; the mapping lives
 /// until destruction, so pointers into data() stay valid for the object's
-/// lifetime (the property the persistent store's "retire, never unmap"
-/// generation scheme is built on). The fd is closed immediately after
-/// mapping — the mapping keeps the pages alive.
+/// lifetime (the property the persistent store's "never unmap while the
+/// store lives" generation scheme is built on). The fd is closed
+/// immediately after mapping — the mapping keeps the pages alive.
 class MappedFile {
  public:
   MappedFile() = default;

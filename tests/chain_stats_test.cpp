@@ -4,6 +4,8 @@
 //     ChainId, and per-chain quantities are computed once per chain;
 //   * shared survival tables are bit-identical to direct UrRow tabulation,
 //     resume across callers, and honour the subnormal cut / exact-zero cap;
+//     their segments' bytes stay within twice the published entries, and
+//     lock-free readers racing a growing writer read exactly its doubles;
 //   * set-level statistics are keyed by the sorted multiset of chain ids —
 //     on a homogeneous platform every k-subset of workers hits ONE store
 //     entry per k — and evaluated in content order, so shared and private
@@ -25,6 +27,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <thread>
@@ -205,6 +210,71 @@ TEST(ChainStatsStore, SurvivalRecordsItsMonotonePrefix) {
   markov::ChainSurvival& flaky = store.survival(store.intern(ur_of(0.10, 0.10)));
   EXPECT_EQ(flaky.grow_to(5'000'000), 0.0);
   EXPECT_TRUE(flaky.monotone_through(10'000'000));
+}
+
+// Survival storage tracks the payload: allocated segments stay within
+// 2 x 8 bytes per published entry plus one first segment, from a single
+// entry up to a table ten segments deep.
+TEST(ChainStatsStore, SurvivalBytesStayWithinTwiceThePublishedEntries) {
+  constexpr long kFirst = markov::ChainSurvival::kFirstSegment;
+  const auto m = ur_of(0.9999, 0.9999);  // decays slowly: no terminal zero
+  for (long t : {1L, kFirst - 1, kFirst, kFirst + 1, 1'000L, 4'097L, 100'000L}) {
+    ChainStatsStore store(1e-9);
+    markov::ChainSurvival& surv = store.survival(store.intern(m));
+    const std::size_t before = store.counters().bytes;
+    (void)surv.grow_to(t);
+    const long published = surv.published();
+    ASSERT_EQ(published, t + 1);
+    EXPECT_LE(store.counters().bytes - before,
+              2 * sizeof(double) * static_cast<std::size_t>(published) +
+                  sizeof(double) * static_cast<std::size_t>(kFirst))
+        << "grown to t=" << t;
+  }
+}
+
+// The TSan target for lock-free segment reads: one writer grows a table
+// across ten segment boundaries while three readers bit-compare every
+// entry they can see against a single-threaded private-store table.
+TEST(ChainStatsStore, ConcurrentReadersSeeTheWrittenTableBitForBit) {
+  constexpr long kDeep = 120'000;
+  const auto m = ur_of(0.9999, 0.9999);
+  ChainStatsStore reference(1e-9);
+  markov::ChainSurvival& ref = reference.survival(reference.intern(m));
+  (void)ref.grow_to(kDeep);
+  ASSERT_EQ(ref.published(), kDeep + 1);
+
+  ChainStatsStore store(1e-9);
+  markov::ChainSurvival& surv = store.survival(store.intern(m));
+  std::atomic<bool> done{false};
+  std::vector<std::thread> readers;
+  std::vector<long> mismatches(3, 0);
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      long walk = r;  // each reader also sweeps the table at its own stride
+      for (bool last = false; !last;) {
+        last = done.load(std::memory_order_acquire);
+        const long n = surv.published();
+        if (n == 0) continue;
+        walk = (walk + 97 * (r + 1)) % n;
+        for (long t : {n - 1, n / 2, walk}) {
+          mismatches[static_cast<std::size_t>(r)] +=
+              std::bit_cast<std::uint64_t>(surv.at(t)) !=
+              std::bit_cast<std::uint64_t>(ref.at(t));
+        }
+      }
+    });
+  }
+  for (long t = 1; t <= kDeep; t += 37) (void)surv.grow_to(t);
+  (void)surv.grow_to(kDeep);
+  done.store(true, std::memory_order_release);
+  for (auto& reader : readers) reader.join();
+  for (long count : mismatches) EXPECT_EQ(count, 0);
+  ASSERT_EQ(surv.published(), kDeep + 1);
+  for (long t = 0; t <= kDeep; ++t) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(surv.at(t)),
+              std::bit_cast<std::uint64_t>(ref.at(t)))
+        << "t=" << t;
+  }
 }
 
 TEST(CoupledStats, RecordsItsMonotoneExpectedTimePrefix) {

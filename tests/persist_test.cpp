@@ -3,9 +3,9 @@
 //
 //   * round-trip: quads and survival tables flushed by one store are found
 //     bit-identical by a fresh process-equivalent (new mapping, new store),
-//     with survival served straight from the read-only mapping (pointer
-//     equality) and growth past the mapped prefix resuming the exact
-//     advance sequence;
+//     with survival served straight from the read-only mapping (no
+//     survival bytes allocated) and growth past the mapped prefix resuming
+//     the exact advance sequence within the from-scratch storage bound;
 //   * flushes are incremental (nothing new -> no file), the longest
 //     survival prefix wins across generations, and refresh() picks up
 //     generations published by other writers;
@@ -18,7 +18,9 @@
 //     families agrees bit for bit between no store, a cold store, a
 //     warm-same-process store and a warm store read by a forked fresh
 //     process;
-//   * concurrent readers and writers on one cache (the TSan target);
+//   * concurrent readers and writers on one cache (the TSan target),
+//     including readers of a mapped prefix while the first growth past it
+//     re-points the straddling segment to heap;
 //   * api::Session: clear_caches() flushes before dropping the heap, so an
 //     evicted session re-reads its own warmth from disk.
 #include <gtest/gtest.h>
@@ -29,6 +31,7 @@
 #include <unistd.h>
 
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -171,11 +174,14 @@ TEST(PersistentStore, SurvivalServedFromMappingAndResumesExactly) {
   ASSERT_EQ(hit.survival_len, kMapped);
 
   ChainStatsStore warm(kEps, persist);
+  ChainStatsStore cold(kEps);
+  (void)cold.intern(m);
   markov::ChainSurvival& surv = warm.survival(warm.intern(m));
-  // The seeded table IS the mapping: same pointer, no copy, full prefix
-  // published immediately.
+  // The seeded table IS the mapping: no survival bytes (a warm intern costs
+  // exactly what a cold one does), full prefix published immediately.
+  const std::size_t seeded_bytes = warm.counters().bytes;
+  EXPECT_EQ(seeded_bytes, cold.counters().bytes);
   EXPECT_EQ(surv.published(), kMapped);
-  EXPECT_EQ(surv.flat(), hit.survival);
   for (long t = 0; t < kMapped; ++t) {
     EXPECT_EQ(surv.at(t), ref_surv.at(t)) << "t=" << t;
   }
@@ -188,6 +194,15 @@ TEST(PersistentStore, SurvivalServedFromMappingAndResumesExactly) {
   for (long t = kMapped; t < kDeep; ++t) {
     EXPECT_EQ(surv.at(t), ref_surv.at(t)) << "t=" << t;
   }
+  for (long t = 0; t < kMapped; ++t) {  // the re-pointed straddler's copy
+    EXPECT_EQ(surv.at(t), ref_surv.at(t)) << "t=" << t;
+  }
+  // Growth past the prefix heap-allocates only the straddling segment and
+  // its successors: within the from-scratch storage bound.
+  const auto published = static_cast<std::size_t>(surv.published());
+  EXPECT_LE(warm.counters().bytes - seeded_bytes,
+            2 * sizeof(double) * published +
+                sizeof(double) * markov::ChainSurvival::kFirstSegment);
 }
 
 TEST(PersistentStore, SeededSurvivalKeepsANonMonotonePrefixShort) {
@@ -653,11 +668,27 @@ TEST(Concurrency, ReadersAndWritersShareOneCache) {
         PersistentChainStats::ChainHit hit;
         const auto m = ur_of(0.95, 0.90 + 1e-4 * i);
         if (persist->find_chain(key_of(m), hit) && hit.survival_len > 0) {
-          // Lock-free read of the mapped prefix through a seeded store.
+          // Lock-free read of the mapped prefix through a seeded store,
+          // while this thread's first growth copies the segment straddling
+          // the mapped frontier to heap and re-points it (every mapped
+          // length here, 201..311, straddles the 192..447 segment).
           ChainStatsStore view(kEps, persist);
           markov::ChainSurvival& surv = view.survival(view.intern(m));
           EXPECT_GE(surv.published(), hit.survival_len);
+          std::atomic<bool> grown{false};
+          std::thread prefix_reader([&] {
+            long mismatches = 0;
+            do {
+              for (long t = 0; t < hit.survival_len; ++t) {
+                mismatches += std::bit_cast<std::uint64_t>(surv.at(t)) !=
+                              std::bit_cast<std::uint64_t>(hit.survival[t]);
+              }
+            } while (!grown.load(std::memory_order_acquire));
+            EXPECT_EQ(mismatches, 0);
+          });
           (void)surv.grow_to(400);
+          grown.store(true, std::memory_order_release);
+          prefix_reader.join();
         }
       }
     });

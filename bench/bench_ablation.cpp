@@ -47,7 +47,7 @@ std::vector<TrialSpec> make_trials(int scenarios, int trials) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Cli cli(argc, argv);
+  util::Cli cli(argc, argv, {"scenarios", "trials", "cap"});
   const int scenarios = static_cast<int>(cli.get_long("scenarios", 4));
   const int trials = static_cast<int>(cli.get_long("trials", 3));
   const long cap = cli.get_long("cap", 300'000);

@@ -14,7 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace tcgrid;
-  util::Cli cli(argc, argv);
+  util::Cli cli(argc, argv, bench::sweep_flags());
   auto spec = bench::spec_from_cli(cli, /*m=*/5, /*default_cap=*/200'000);
   // A lighter grid than Table I: the comparison, not the factorial, is the
   // point here.

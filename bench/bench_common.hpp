@@ -20,6 +20,16 @@
 
 namespace tcgrid::bench {
 
+/// The flags spec_from_cli and run_and_aggregate read, plus `extra`: the
+/// accepted list of a bench built on them.
+inline std::vector<std::string> sweep_flags(std::vector<std::string> extra = {}) {
+  for (const char* flag :
+       {"full", "scenarios", "trials", "cap", "eps", "seed", "threads", "raw-csv", "jsonl"}) {
+    extra.emplace_back(flag);
+  }
+  return extra;
+}
+
 /// Scale knobs common to every reproduction bench.
 ///
 /// Defaults are a reduced sweep that preserves the paper's factorial

@@ -250,7 +250,9 @@ int emit_json(const util::Cli& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+  // google-benchmark reads the --benchmark_* flags itself.
+  const util::Cli cli(argc, argv,
+                      {"emit_json", "m", "cap", "scenarios", "trials", "benchmark_*"});
   if (cli.has("emit_json")) return emit_json(cli);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

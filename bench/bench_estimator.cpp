@@ -614,7 +614,9 @@ int store_bench(const util::Cli& cli, const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+  // google-benchmark reads the --benchmark_* flags itself.
+  const util::Cli cli(argc, argv, {"emit_json", "reps", "store_bench", "store_child",
+                                   "store_dir", "benchmark_*"});
   if (cli.has("store_child")) return store_child(cli);
   if (cli.has("store_bench")) return store_bench(cli, argv[0]);
   if (cli.has("emit_json")) return emit_json(cli);

@@ -39,7 +39,7 @@ long run_with(const platform::Platform& real, const model::Application& app,
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Cli cli(argc, argv);
+  util::Cli cli(argc, argv, {"scenarios", "trials", "cap", "shape", "train"});
   const int scenarios = static_cast<int>(cli.get_long("scenarios", 4));
   const int trials = static_cast<int>(cli.get_long("trials", 3));
   const long cap = cli.get_long("cap", 300'000);

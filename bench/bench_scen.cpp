@@ -88,7 +88,7 @@ double best_of(int reps, const std::function<double()>& run) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Cli cli(argc, argv);
+  util::Cli cli(argc, argv, {"slots", "scenarios", "trials", "cap", "train", "shape", "seed", "check"});
   const long slots = cli.get_long("slots", 1'000'000);
   const int scenarios = static_cast<int>(cli.get_long("scenarios", 2));
   const int trials = static_cast<int>(cli.get_long("trials", 2));

@@ -74,7 +74,7 @@ SweepTiming run_sweep(const api::ExperimentSpec& spec) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+  const util::Cli cli(argc, argv, {"emit_json", "m", "cap", "scenarios", "trials", "reps"});
   const std::string path = [&] {
     auto v = cli.value("emit_json");
     return (v && !v->empty()) ? *v : std::string("BENCH_sweep.json");

@@ -10,7 +10,7 @@
 
 int main(int argc, char** argv) {
   using namespace tcgrid;
-  util::Cli cli(argc, argv);
+  util::Cli cli(argc, argv, bench::sweep_flags());
   const auto spec = bench::spec_from_cli(cli, /*m=*/5, /*default_cap=*/1'000'000);
   bench::print_header("Table I: results with m = 5 tasks", spec);
 

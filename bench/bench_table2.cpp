@@ -11,7 +11,7 @@
 
 int main(int argc, char** argv) {
   using namespace tcgrid;
-  util::Cli cli(argc, argv);
+  util::Cli cli(argc, argv, bench::sweep_flags());
   auto spec = bench::spec_from_cli(cli, /*m=*/10, /*default_cap=*/150'000);
   spec.heuristics = sched::tableii_heuristic_names();
   bench::print_header("Table II: results with m = 10 tasks (best 8 heuristics)",

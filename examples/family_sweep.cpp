@@ -40,7 +40,7 @@ std::vector<std::string> split_names(const std::string& csv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Cli cli(argc, argv);
+  util::Cli cli(argc, argv, {"families", "scenarios", "trials", "cap", "csv"});
   const long cap = cli.get_long("cap", 150'000);
   const int scenarios = static_cast<int>(cli.get_long("scenarios", 2));
   const int trials = static_cast<int>(cli.get_long("trials", 2));

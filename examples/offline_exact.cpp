@@ -18,7 +18,7 @@
 
 int main(int argc, char** argv) {
   using namespace tcgrid;
-  util::Cli cli(argc, argv);
+  util::Cli cli(argc, argv, {"p", "m", "slots", "seed"});
   const int p = static_cast<int>(cli.get_long("p", 8));
   const int slots = static_cast<int>(cli.get_long("slots", 24));
   const int m = static_cast<int>(cli.get_long("m", 3));

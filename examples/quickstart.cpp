@@ -13,7 +13,7 @@
 
 int main(int argc, char** argv) {
   using namespace tcgrid;
-  util::Cli cli(argc, argv);
+  util::Cli cli(argc, argv, {"m", "ncom", "wmin", "seed", "cap"});
 
   platform::ScenarioParams params;
   params.m = static_cast<int>(cli.get_long("m", 5));

@@ -17,7 +17,9 @@
 
 int main(int argc, char** argv) {
   using namespace tcgrid;
-  util::Cli cli(argc, argv);
+  util::Cli cli(argc, argv,
+                {"list", "heuristic", "m", "ncom", "wmin", "p", "iterations", "seed", "trials",
+                 "cap", "eps", "csv", "gantt-from", "gantt-to"});
 
   if (cli.has("list")) {
     std::cout << "paper heuristics:";

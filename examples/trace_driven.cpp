@@ -22,7 +22,7 @@
 
 int main(int argc, char** argv) {
   using namespace tcgrid;
-  util::Cli cli(argc, argv);
+  util::Cli cli(argc, argv, {"trace", "slots", "wmin", "seed"});
   const long slots = cli.get_long("slots", 20'000);
   const auto seed = static_cast<std::uint64_t>(cli.get_long("seed", 9));
 

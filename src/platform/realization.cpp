@@ -14,6 +14,10 @@ namespace {
 /// does not overshoot a few-hundred-slot makespan by much.
 constexpr long kChunk = 512;
 
+/// Runs locate() walks forward from a worker's cursor before it falls back
+/// to binary search.
+constexpr std::size_t kCursorWalk = 4;
+
 inline bool is_up(markov::State s) noexcept { return s == markov::State::Up; }
 
 }  // namespace
@@ -130,19 +134,27 @@ void Realization::ensure(long slots) {
 
 std::size_t Realization::locate(std::size_t q, long slot) const {
   const auto& runs = runs_[q];
-  // Sequential-replay hint first, then binary search (replays restart from
-  // slot 0, stretch queries land anywhere).
+  // The cursor first, then a few runs past it: replays move forward, and a
+  // bulk advance leaves the workers it did not read a few runs behind.
+  // Binary search otherwise (replays restart from slot 0, stretch queries
+  // land anywhere); past the cursor when the walk got that far.
   std::size_t i = cursor_[q];
-  const bool hint_ok = i < runs.size() && runs[i].begin <= slot &&
-                       (i + 1 == runs.size() || runs[i + 1].begin > slot);
-  if (!hint_ok) {
-    const auto it =
-        std::upper_bound(runs.begin(), runs.end(), slot,
-                         [](long s, const Run& run) { return s < run.begin; });
-    assert(it != runs.begin());
-    i = static_cast<std::size_t>(it - runs.begin()) - 1;
-    cursor_[q] = i;
+  std::size_t lo = 0;
+  if (i < runs.size() && runs[i].begin <= slot) {
+    for (std::size_t k = 0; k <= kCursorWalk; ++k, ++i) {
+      if (i + 1 == runs.size() || runs[i + 1].begin > slot) {
+        cursor_[q] = i;
+        return i;
+      }
+    }
+    lo = i;  // runs[i].begin <= slot: the walk only passed runs that do
   }
+  const auto it =
+      std::upper_bound(runs.begin() + static_cast<std::ptrdiff_t>(lo), runs.end(), slot,
+                       [](long s, const Run& run) { return s < run.begin; });
+  assert(it != runs.begin());
+  i = static_cast<std::size_t>(it - runs.begin()) - 1;
+  cursor_[q] = i;
   return i;
 }
 
@@ -221,31 +233,6 @@ bool Realization::down_overlaps(int q, long begin, long end) const {
     if (runs[i].state == markov::State::Down) return true;
   }
   return false;
-}
-
-void Realization::copy_digests(long begin, long end, unsigned char* chg,
-                               unsigned char* gain, unsigned char* ndown) const {
-  assert(begin >= 0 && begin <= end && end <= frontier_);
-  // Word-at-a-time bit unpacking: one shift per slot per bitset instead of
-  // a full indexed bit() read (windows are ~1k slots; this is per refill).
-  long t = begin;
-  while (t < end) {
-    const auto w = static_cast<std::size_t>(t >> 6);
-    const unsigned off = static_cast<unsigned>(t) & 63;
-    std::uint64_t c = chg_bits_[w] >> off;
-    std::uint64_t g = gain_bits_[w] >> off;
-    std::uint64_t n = ndown_bits_[w] >> off;
-    const long stop = std::min(end, (static_cast<long>(w) + 1) << 6);
-    for (; t < stop; ++t) {
-      const auto i = static_cast<std::size_t>(t - begin);
-      chg[i] = static_cast<unsigned char>(c & 1);
-      gain[i] = static_cast<unsigned char>(g & 1);
-      ndown[i] = static_cast<unsigned char>(n & 1);
-      c >>= 1;
-      g >>= 1;
-      n >>= 1;
-    }
-  }
 }
 
 long Realization::next_change(long from, long limit) {

@@ -4,7 +4,7 @@
 // on a (scenario, trial) faces the IDENTICAL availability realization. The
 // historical way to reproduce that pairing is re-seeding: each heuristic run
 // regenerates the stream from scratch (one RNG draw per processor per slot
-// for the Markov family) and the engine recomputes the same per-block
+// for the Markov family) and the engine recomputes the same per-slot
 // digests, so generation + digesting is paid once per heuristic. A
 // Realization materializes one trial's timeline exactly once, through the
 // same fill_block contract live consumers use, and replays it to every
@@ -25,8 +25,9 @@
 //   * memory is bounded by a byte budget; crossing it throws
 //     RealizationBudgetExceeded, which api::Session catches to fall back to
 //     live generation (bit-identical, just slower);
-//   * sim::Engine's replay constructor reads rows, digests and
-//     change-to-change jumps straight off the realization. A Realization is
+//   * sim::Engine's replay constructor reads every slot off the
+//     realization: single expanded rows for its per-slot steps, digest bits
+//     and change-to-change jumps for its bulk advances. A Realization is
 //     deliberately not an AvailabilitySource: a caller that needs a source
 //     builds a fresh live one from the family, which is bit-identical.
 //
@@ -121,11 +122,6 @@ class Realization {
   [[nodiscard]] bool up_gain_at(long slot) const { return bit(gain_bits_, slot); }
   [[nodiscard]] bool new_down_at(long slot) const { return bit(ndown_bits_, slot); }
 
-  /// Copy the digests of slots [begin, end) into byte arrays (the engine's
-  /// per-block digest layout). Requires end <= frontier().
-  void copy_digests(long begin, long end, unsigned char* chg, unsigned char* gain,
-                    unsigned char* ndown) const;
-
   /// First slot in [from, limit) where anything changes (UP membership or a
   /// fresh DOWN), or `limit` when the range is change-free. Materializes as
   /// far as it scans (at most `limit`), so it can throw
@@ -172,8 +168,9 @@ class Realization {
            1U;
   }
 
-  /// Index of worker q's run containing `slot` (cursor hint, then binary
-  /// search). Requires slot < frontier_. Updates the cursor.
+  /// Index of worker q's run containing `slot` (cursor hint and a short
+  /// forward walk, then binary search). Requires slot < frontier_. Updates
+  /// the cursor.
   [[nodiscard]] std::size_t locate(std::size_t q, long slot) const;
 
   void materialize_chunk(long slots);
@@ -194,9 +191,9 @@ class Realization {
   std::vector<markov::State> scratch_;   ///< chunk staging buffer
   std::vector<markov::State> last_row_;  ///< row frontier_-1 (digest carry)
 
-  /// Per-worker run-index hints: expansion is overwhelmingly sequential
+  /// Per-worker run-index hints: lookups are overwhelmingly sequential
   /// (each replay walks the timeline front to back), so remembering where
-  /// the last expansion left off skips the binary search.
+  /// the last lookup left off skips the binary search.
   mutable std::vector<std::size_t> cursor_;
 };
 

@@ -45,14 +45,6 @@ Engine::Engine(const platform::Platform& platform, const model::Application& app
   // A block never needs to exceed the run length: clamping bounds the buffer
   // (and the prefetch overshoot) by slot_cap however large the option is.
   block_slots_ = std::min(options_.avail_block, options_.slot_cap);
-  if (realization_ != nullptr) {
-    // Replay windows are pure RLE expansion (an order of magnitude cheaper
-    // per slot than live generation), so the live default's overshoot-vs-
-    // fixed-cost balance does not apply: widen the window to amortize the
-    // per-refill run lookups. Any window size yields identical results (the
-    // window is a view of an immutable timeline, not a generation step).
-    block_slots_ = std::min(std::max(options_.avail_block, 1024L), options_.slot_cap);
-  }
   const auto p = static_cast<std::size_t>(platform_.size());
   holdings_.resize(p);
   actions_.resize(p);
@@ -129,41 +121,12 @@ void Engine::step_slot() {
 }
 
 void Engine::refill_block() {
+  // Live mode only: availability is consumed through the block-stepping
+  // contract — one fill_block call (which also advances the source) per
+  // avail_block slots, then row-wise consumption, no per-processor virtual
+  // dispatch.
+  assert(realization_ == nullptr);
   const std::size_t p = holdings_.size();
-  if (realization_ != nullptr && realization_->frozen() &&
-      slot_ >= realization_->frontier()) {
-    switch_to_live();  // single remaining consumer: stop recording the tail
-  }
-  if (realization_ != nullptr) {
-    // Replay window: rows come from the realization's RLE intervals and the
-    // digests from its precomputed bitsets — nothing is generated or
-    // re-digested. The window always restarts at the current slot, so it is
-    // valid after bulk advances that skip rows as well as after sequential
-    // consumption (the two ways the previous window empties).
-    const long base = slot_;
-    long hi = std::min(base + block_slots_, options_.slot_cap);
-    if (realization_->frozen()) hi = std::min(hi, realization_->frontier());
-    assert(base < hi);
-    realization_->ensure(hi);
-    realization_->expand_rows(base, hi, block_.data());
-    block_base_ = base;
-    block_filled_ = hi - base;
-    block_pos_ = 0;
-    if (options_.fast_forward) {
-      realization_->copy_digests(base, hi, digest_up_changed_.data(),
-                                 digest_up_gain_.data(), digest_new_down_.data());
-      if (base > 0) {
-        realization_->expand_rows(base - 1, base, prev_row_.data());
-        prev_row_valid_ = true;
-      } else {
-        prev_row_valid_ = false;
-      }
-    }
-    return;
-  }
-  // Live mode: availability is consumed through the block-stepping contract —
-  // one fill_block call (which also advances the source) per avail_block
-  // slots, then row-wise consumption, no per-processor virtual dispatch.
   if (options_.fast_forward && block_filled_ > 0) {
     // Keep the outgoing block's last row: the incoming block's first-row
     // digests are relative to it.
@@ -206,9 +169,20 @@ void Engine::refill_block() {
 }
 
 void Engine::refresh_states() {
+  if (realization_ != nullptr && realization_->frozen() &&
+      slot_ >= realization_->frontier()) {
+    switch_to_live();  // single remaining consumer: stop recording the tail
+  }
+  if (realization_ != nullptr) {
+    // Replay: expand this one row off the realization into block_'s first
+    // row (the window itself is unused until a switch to live).
+    realization_->ensure(slot_ + 1);
+    realization_->expand_rows(slot_, slot_ + 1, block_.data());
+    states_ = std::span(block_.data(), holdings_.size());
+    return;
+  }
   if (block_pos_ == block_filled_) refill_block();
   states_ = std::span(window_row(slot_), holdings_.size());
-  digest_row_ = block_pos_;
   ++block_pos_;
 }
 
@@ -218,10 +192,7 @@ void Engine::process_downs() {
   // and a DOWN worker's holdings cannot change), and no enrolled worker can
   // be DOWN (a configuration only ever contains workers that were UP after
   // its install slot, so an enrolled DOWN is always a fresh transition).
-  if (options_.fast_forward &&
-      !digest_new_down_[static_cast<std::size_t>(digest_row_)]) {
-    return;
-  }
+  if (options_.fast_forward && !new_down_at(slot_)) return;
   // DOWN loses everything, enrolled or not (paper §III-B).
   for (std::size_t q = 0; q < states_.size(); ++q) {
     if (states_[q] == markov::State::Down) holdings_[q].crash();
@@ -535,14 +506,14 @@ void Engine::record_slot() {
 //      alone; every other stop hands the slot to the per-slot path.
 //
 // Availability is read through one query surface with two backends,
-// picked per query (never per row): replay without tracing reads the
-// Realization — RLE stretches, digest bitsets — and skipped rows are never
-// expanded; live and traced runs read the dense window — rows and digest
-// bytes. A segment is the window, or the replayed prefix of a frozen
-// realization (else the whole run); at its end the loop refills the window
-// or switches to live and carries on. Both backends report the same slots
-// for every query, so the stop slots — and hence results, traces and
-// telemetry — do not depend on the backend.
+// picked by mode (never per row): a replay reads the Realization — RLE
+// stretches, digest bitsets — and skipped rows are never expanded (a traced
+// replay looks up each trace row's states); a live run reads the dense
+// window — rows and digest bytes. A segment is the window, or the replayed
+// prefix of a frozen realization (else the whole run); at its end the loop
+// refills the window or switches to live and carries on. Both backends
+// report the same slots for every query, so the stop slots — and hence
+// results, traces and telemetry — do not depend on the backend.
 // --------------------------------------------------------------------------
 
 const markov::State* Engine::window_row(long slot) const {
@@ -589,6 +560,11 @@ bool Engine::up_gain_at(long slot) const {
   return digest_up_gain_[static_cast<std::size_t>(slot - block_base_)] != 0;
 }
 
+bool Engine::new_down_at(long slot) const {
+  if (jumping()) return realization_->new_down_at(slot);
+  return digest_new_down_[static_cast<std::size_t>(slot - block_base_)] != 0;
+}
+
 long Engine::enrolled_stable_until(long limit) {
   if (enrolled_buf_.empty() || slot_ >= limit) return limit;
   if (jumping()) return realization_->stable_until(enrolled_buf_, slot_ - 1, limit);
@@ -624,7 +600,7 @@ bool Engine::watched_membership_changed(long slot) const {
 void Engine::crash_downs(long begin, long end) {
   if (!jumping()) {
     for (long s = begin; s < end; ++s) {
-      if (digest_new_down_[static_cast<std::size_t>(s - block_base_)]) {
+      if (new_down_at(s)) {
         const markov::State* row = window_row(s);
         for (std::size_t q = 0; q < holdings_.size(); ++q) {
           if (row[q] == markov::State::Down) holdings_[q].crash();
@@ -651,16 +627,15 @@ void Engine::consume(long end, bool compute) {
   crash_downs(slot_, end);
   if (options_.record_trace) {
     for (long s = slot_; s < end; ++s) {
-      const markov::State* row = window_row(s);
       auto& tr = trace_.emplace_back(holdings_.size());
       for (std::size_t q = 0; q < holdings_.size(); ++q) {
-        tr[q] = Cell{row[q], Action::None};
+        tr[q] = Cell{state_at(static_cast<int>(q), s), Action::None};
       }
       for (const auto& a : config_.assignments()) {
         const auto q = static_cast<std::size_t>(a.proc);
         if (compute) {
           tr[q].action = Action::Compute;
-        } else if (is_up(row[q])) {
+        } else if (is_up(tr[q].state)) {
           tr[q].action = Action::Idle;  // suspended: UP workers wait
         }
       }
@@ -716,7 +691,6 @@ void Engine::fast_forward() {
     advance_idle(kind);
     note_bulk_advance(telem_.bulk_runs_idle, telem_.bulk_slots_idle, before, jumped);
   }
-  if (jumping()) resync_window();
 }
 
 void Engine::note_bulk_advance(long& runs, long& slots, long before, bool jumped) {
@@ -861,18 +835,6 @@ void Engine::advance_idle(Quiescence::Kind kind) {
   }
 }
 
-void Engine::resync_window() {
-  // Jumps advance slot_ without consuming window rows. If the new position
-  // is still inside the (immutable, absolute-indexed) window, just re-point;
-  // otherwise force the next refill to rebuild at slot_.
-  if (block_filled_ > 0 && slot_ >= block_base_ && slot_ < block_base_ + block_filled_) {
-    block_pos_ = slot_ - block_base_;
-  } else {
-    block_pos_ = 0;
-    block_filled_ = 0;
-  }
-}
-
 void Engine::switch_to_live() {
   // The frozen realization's embedded source stands exactly at the
   // frontier (materialization consumes it through fill_block and nothing
@@ -892,9 +854,6 @@ void Engine::switch_to_live() {
   }
   availability_ = &realization_->source();
   realization_ = nullptr;
-  // Back to the live prefetch sizing: generation is expensive again, so the
-  // wide replay window would only grow the overshoot past the makespan.
-  block_slots_ = std::min(options_.avail_block, options_.slot_cap);
   block_pos_ = 0;
   block_filled_ = 0;
 }

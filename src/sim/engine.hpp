@@ -70,11 +70,12 @@ class Engine {
          EngineOptions options = {});
 
   /// Replay mode (DESIGN.md §9): consume a materialized realization instead
-  /// of generating availability live. Rows are expanded from the
-  /// realization's run-length intervals and the fast-forward digests are
-  /// copied from its precomputed bitsets; when tracing is off, the
-  /// event-horizon bulk advances read their stretches straight off the
-  /// intervals and bitsets without expanding the skipped rows at all.
+  /// of generating availability live. Every slot is read off the
+  /// realization: a per-slot step expands its one row from the run-length
+  /// intervals and reads the fast-forward digests from the precomputed
+  /// bitsets, and the event-horizon bulk advances read their stretches
+  /// straight off the intervals and bitsets without expanding the skipped
+  /// rows at all (a traced replay looks up each trace row's states).
   /// Results — counters, iteration stats AND traces — are bit-identical to
   /// a live source built from the same (family, seed, init), and so is the
   /// execution telemetry (consults, per-slot steps, bulk-advanced slots),
@@ -151,12 +152,10 @@ class Engine {
   void note_bulk_advance(long& runs, long& slots, long before, bool jumped);
   void load_enrolled();
 
-  // --- availability queries: the realization (replay without tracing) or
-  // the dense window (live and traced runs), picked by jumping() once per
-  // query, never per row; both backends answer every query identically ---
-  [[nodiscard]] bool jumping() const noexcept {
-    return realization_ != nullptr && !options_.record_trace;
-  }
+  // --- availability queries: the realization (replay) or the dense window
+  // (live), picked by mode through jumping(), never per row; both backends
+  // answer every query identically ---
+  [[nodiscard]] bool jumping() const noexcept { return realization_ != nullptr; }
   /// End of the segment holding slot_ (the window, a frozen realization's
   /// replayed prefix, or the cap); refills the window or switches to live
   /// when slot_ sits at the previous segment's end.
@@ -166,15 +165,15 @@ class Engine {
   [[nodiscard]] long next_change(long from, long limit);
   [[nodiscard]] bool up_changed_at(long slot) const;
   [[nodiscard]] bool up_gain_at(long slot) const;
+  [[nodiscard]] bool new_down_at(long slot) const;
   /// First slot in [slot_, limit) where an enrolled worker's state differs
   /// from slot_ - 1, else `limit`.
   [[nodiscard]] long enrolled_stable_until(long limit);
-  /// Row `slot` of the dense window (or the row just before it).
+  /// Row `slot` of the live dense window (or the row just before it).
   [[nodiscard]] const markov::State* window_row(long slot) const;
   [[nodiscard]] markov::State state_at(int q, long slot) const;
   /// Crash the workers newly DOWN in [begin, end).
   void crash_downs(long begin, long end);
-  void resync_window();
   /// Frozen-realization hand-off: continue on the embedded source (standing
   /// exactly at slot_ == frontier) as an ordinary live engine. The replayed
   /// prefix and the live tail are one unbroken stream, so results are
@@ -206,7 +205,9 @@ class Engine {
   // dynamic state
   long slot_ = 0;
   std::span<const markov::State> states_;  ///< current row inside block_
-  std::vector<markov::State> block_;  ///< [block_slots_ x p] availability buffer
+  /// [block_slots_ x p] live availability window; a replay expands each
+  /// per-slot row into its first row instead
+  std::vector<markov::State> block_;
   long block_slots_ = 0;              ///< min(avail_block, slot_cap)
   long block_pos_ = 0;                ///< rows of block_ already consumed
   long block_filled_ = 0;             ///< rows of block_ currently valid
@@ -223,15 +224,14 @@ class Engine {
   // consumer) is on
   std::vector<Action> actions_;
 
-  // per-row digests over block_, computed in one pass at each refill
-  // (fast_forward only). Flags are relative to the previous row, carried
-  // across refills through prev_row_.
+  // per-row digests over the live window, computed in one pass at each
+  // refill (fast_forward only). Flags are relative to the previous row,
+  // carried across refills (and a switch to live) through prev_row_.
   std::vector<unsigned char> digest_up_changed_;  ///< UP-membership changed
   std::vector<unsigned char> digest_up_gain_;     ///< some proc joined UP
   std::vector<unsigned char> digest_new_down_;    ///< some proc newly DOWN
   std::vector<markov::State> prev_row_;  ///< last row of the previous block
   bool prev_row_valid_ = false;
-  long digest_row_ = 0;  ///< block row of the slot being processed
 
   // quiescence latch: report of the most recent consult
   const Quiescence* quiesce_ = nullptr;

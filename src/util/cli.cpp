@@ -1,10 +1,31 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
+#include <string_view>
 
 namespace tcgrid::util {
 
-Cli::Cli(int argc, const char* const* argv) {
+namespace {
+
+/// Whether an accepted-flag entry covers `name` ("x*" covers every "x...").
+bool covers(std::string_view entry, const std::string& name) {
+  if (entry.ends_with('*')) return name.starts_with(entry.substr(0, entry.size() - 1));
+  return entry == name;
+}
+
+[[noreturn]] void usage(const std::string& program,
+                        const std::vector<std::string>& accepted) {
+  std::fprintf(stderr, "usage: %s [flags]\naccepted flags:", program.c_str());
+  for (const std::string& flag : accepted) std::fprintf(stderr, " --%s", flag.c_str());
+  std::fputc('\n', stderr);
+  std::exit(2);
+}
+
+}  // namespace
+
+Cli::Cli(int argc, const char* const* argv, const std::vector<std::string>& accepted) {
   program_ = argc > 0 ? argv[0] : "";
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -24,6 +45,15 @@ Cli::Cli(int argc, const char* const* argv) {
       options_[body] = argv[++i];
     } else {
       options_[body] = "";
+    }
+  }
+  for (const auto& option : options_) {
+    const std::string& name = option.first;
+    if (name == "help") usage(program_, accepted);
+    if (std::none_of(accepted.begin(), accepted.end(),
+                     [&](const std::string& entry) { return covers(entry, name); })) {
+      std::fprintf(stderr, "%s: unknown flag --%s\n", program_.c_str(), name.c_str());
+      usage(program_, accepted);
     }
   }
 }

@@ -1,7 +1,8 @@
 // Minimal command-line option parser used by bench binaries and examples.
 //
 // Supports `--name value`, `--name=value`, and boolean flags `--name`.
-// Unknown options are collected so callers can reject or ignore them.
+// Each program names the flags it reads; `--help` or any other flag prints
+// them and exits, so a mistyped flag never runs the program on defaults.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +16,11 @@ namespace tcgrid::util {
 /// Parsed command line: option map plus positional arguments.
 class Cli {
  public:
-  Cli(int argc, const char* const* argv);
+  /// `accepted` lists every flag the program reads, without the leading
+  /// dashes; an entry ending in '*' accepts every flag with that prefix.
+  /// `--help`, or a flag `accepted` does not cover, prints the accepted
+  /// flags to stderr and exits with status 2.
+  Cli(int argc, const char* const* argv, const std::vector<std::string>& accepted);
 
   /// True if `--name` was present (with or without a value).
   [[nodiscard]] bool has(const std::string& name) const;

@@ -2,10 +2,17 @@
 // MOSTAVAIL, UPTIME) and the model-free adaptive wrappers (ADAPT-*).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "api/api.hpp"
 #include "platform/availability.hpp"
 #include "platform/scenario.hpp"
 #include "sched/baselines.hpp"
 #include "sched/registry.hpp"
+#include "serve/protocol.hpp"
 #include "sim/engine.hpp"
 
 namespace tcgrid::sched {
@@ -254,6 +261,50 @@ TEST(Adaptive, UnknownAdaptNameThrows) {
   sched::Estimator est(plat, app, 1e-6);
   EXPECT_THROW((void)make_scheduler("ADAPT-XX", est), std::invalid_argument);
   EXPECT_THROW((void)make_scheduler("ADAPT-Q-IE", est), std::invalid_argument);
+}
+
+/// Collects every row as serve::row_line bytes (the daemon's serializer).
+class RowLinesSink final : public api::ResultSink {
+ public:
+  void consume(const api::ResultRow& row) override {
+    lines.push_back(serve::row_line(row.scenario, row.trial, row.heuristic, *row.name,
+                                    *row.family, *row.params, *row.result));
+  }
+  std::vector<std::string> lines;
+};
+
+/// FNV-1a-64 over the sorted row lines, each terminated by '\n' (the
+/// order-independent row digest perfbench records).
+std::uint64_t sorted_rows_digest(std::vector<std::string> lines) {
+  std::sort(lines.begin(), lines.end());
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const std::string& line : lines) {
+    for (const unsigned char c : line + '\n') {
+      h ^= c;
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+TEST(Adaptive, RowDigestOnTheReducedGridMatchesTheRecordedValue) {
+  // perfbench's recorded digests cover nine paper heuristics only; this
+  // pins the five ADAPT-* rows. A slice of the reduced m=5 grid at seed 42
+  // (ncom {5, 10} x wmin {1, 4, 10}, 2 trials) runs through Session::run,
+  // so every row goes through the replay path: one shared realization per
+  // unit, frozen for the unit's last heuristic.
+  api::ExperimentSpec spec = api::ExperimentSpec::reduced(5, 50'000);
+  spec.options.seed = 42;
+  spec.options.threads = 2;
+  spec.grid.ncoms = {5, 10};
+  spec.grid.wmins = {1, 4, 10};
+  spec.grid.scenarios_per_cell = 1;
+  spec.heuristics = {"ADAPT-IE", "ADAPT-IAY", "ADAPT-Y-IE", "ADAPT-P-IE", "ADAPT-E-IAY"};
+  api::Session session(spec.options);
+  RowLinesSink sink;
+  (void)session.run(spec, {&sink});
+  ASSERT_EQ(sink.lines.size(), 60U);
+  EXPECT_EQ(sorted_rows_digest(sink.lines), 0xea04e37599ab3cf0ULL);
 }
 
 }  // namespace

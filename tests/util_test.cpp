@@ -141,28 +141,28 @@ TEST(Rng, WeibullPositive) {
 
 TEST(Cli, ParsesSeparateValueForm) {
   const char* argv[] = {"prog", "--m", "10", "--name", "Y-IE"};
-  util::Cli cli(5, argv);
+  util::Cli cli(5, argv, {"m", "name"});
   EXPECT_EQ(cli.get_long("m", 0), 10);
   EXPECT_EQ(cli.get("name", ""), "Y-IE");
 }
 
 TEST(Cli, ParsesEqualsForm) {
   const char* argv[] = {"prog", "--wmin=3", "--eps=0.5"};
-  util::Cli cli(3, argv);
+  util::Cli cli(3, argv, {"wmin", "eps"});
   EXPECT_EQ(cli.get_long("wmin", 0), 3);
   EXPECT_DOUBLE_EQ(cli.get_double("eps", 0.0), 0.5);
 }
 
 TEST(Cli, BareFlagIsTrue) {
   const char* argv[] = {"prog", "--full"};
-  util::Cli cli(2, argv);
+  util::Cli cli(2, argv, {"full", "other"});
   EXPECT_TRUE(cli.get_bool("full"));
   EXPECT_FALSE(cli.get_bool("other"));
 }
 
 TEST(Cli, FlagFollowedByFlagHasEmptyValue) {
   const char* argv[] = {"prog", "--a", "--b", "1"};
-  util::Cli cli(4, argv);
+  util::Cli cli(4, argv, {"a", "b"});
   EXPECT_TRUE(cli.has("a"));
   EXPECT_EQ(cli.value("a").value(), "");
   EXPECT_EQ(cli.get_long("b", 0), 1);
@@ -170,7 +170,7 @@ TEST(Cli, FlagFollowedByFlagHasEmptyValue) {
 
 TEST(Cli, PositionalArguments) {
   const char* argv[] = {"prog", "input.txt", "--k", "2", "more"};
-  util::Cli cli(5, argv);
+  util::Cli cli(5, argv, {"k"});
   ASSERT_EQ(cli.positional().size(), 2u);
   EXPECT_EQ(cli.positional()[0], "input.txt");
   EXPECT_EQ(cli.positional()[1], "more");
@@ -178,7 +178,7 @@ TEST(Cli, PositionalArguments) {
 
 TEST(Cli, FallbacksUsedWhenAbsent) {
   const char* argv[] = {"prog"};
-  util::Cli cli(1, argv);
+  util::Cli cli(1, argv, {"x"});
   EXPECT_EQ(cli.get("x", "def"), "def");
   EXPECT_EQ(cli.get_long("x", 9), 9);
   EXPECT_DOUBLE_EQ(cli.get_double("x", 1.5), 1.5);
@@ -186,11 +186,29 @@ TEST(Cli, FallbacksUsedWhenAbsent) {
 
 TEST(Cli, BoolValueForms) {
   const char* argv[] = {"prog", "--a=true", "--b=0", "--c=yes", "--d=off"};
-  util::Cli cli(5, argv);
+  util::Cli cli(5, argv, {"a", "b", "c", "d"});
   EXPECT_TRUE(cli.get_bool("a"));
   EXPECT_FALSE(cli.get_bool("b"));
   EXPECT_TRUE(cli.get_bool("c"));
   EXPECT_FALSE(cli.get_bool("d"));
+}
+
+TEST(Cli, PrefixEntryAcceptsEveryFlagWithThatPrefix) {
+  const char* argv[] = {"prog", "--benchmark_filter=BM_x", "--benchmark_min_time=0.05"};
+  util::Cli cli(3, argv, {"cap", "benchmark_*"});
+  EXPECT_EQ(cli.get("benchmark_filter", ""), "BM_x");
+}
+
+TEST(CliDeathTest, UnknownFlagPrintsTheAcceptedFlagsAndExits2) {
+  const char* argv[] = {"prog", "--cap", "10", "--cpa", "20"};
+  EXPECT_EXIT(util::Cli(5, argv, {"cap", "seed"}), ::testing::ExitedWithCode(2),
+              "unknown flag --cpa(.|\n)*accepted flags: --cap --seed");
+}
+
+TEST(CliDeathTest, HelpPrintsTheAcceptedFlagsAndExits2) {
+  const char* argv[] = {"prog", "--help"};
+  EXPECT_EXIT(util::Cli(2, argv, {"cap", "seed"}), ::testing::ExitedWithCode(2),
+              "accepted flags: --cap --seed");
 }
 
 // -------------------------------------------------------------- table ----

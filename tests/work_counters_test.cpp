@@ -1,9 +1,10 @@
 // Exact work-counter gate. Rows are pinned by digests elsewhere; this pins
 // the WORK behind them: per heuristic, the scheduler consults, per-slot
 // engine steps, bulk-advanced slots and fresh builds (build-memo growth)
-// of a small fixed sweep, wired exactly like perfbench's traced pass
-// (session estimator, one shared realization per unit, scheduler seeding
-// of Session::run_unit). The counts are machine-independent, so they are
+// of a small fixed sweep, plus the availability slots its realizations
+// materialized (the summed per-unit frontier), wired exactly like
+// perfbench's traced pass (session estimator, one shared realization per
+// unit, scheduler seeding of Session::run_unit). The counts are machine-independent, so they are
 // compared for equality. A change that moves them on purpose re-records
 // the table and says why.
 #include <gtest/gtest.h>
@@ -40,12 +41,18 @@ api::ExperimentSpec gate_spec() {
   return spec;
 }
 
+struct WorkPass {
+  std::vector<WorkCounts> per_heuristic;
+  long materialized_slots = 0;  ///< sum over units of Realization::frontier()
+};
+
 /// One single-threaded pass, unit-index order, per-heuristic sums.
-std::vector<WorkCounts> count_work(const api::ExperimentSpec& spec) {
+WorkPass count_work(const api::ExperimentSpec& spec) {
   const api::Options& options = spec.options;
   const auto family = scen::availability_family(spec.scenario_space.availability);
   const std::vector<std::string>& heuristics = spec.resolved_heuristics();
-  std::vector<WorkCounts> out(heuristics.size());
+  WorkPass out;
+  out.per_heuristic.resize(heuristics.size());
   api::Session session(options);
   for (const platform::ScenarioParams& params : spec.scenarios()) {
     for (int trial = 0; trial < spec.trials; ++trial) {
@@ -65,12 +72,13 @@ std::vector<WorkCounts> count_work(const api::ExperimentSpec& spec) {
                            options.engine());
         (void)engine.run();
         const sim::RunTelemetry& t = engine.telemetry();
-        WorkCounts& c = out[h];
+        WorkCounts& c = out.per_heuristic[h];
         c.consults += engine.consults();
         c.per_slot_steps += t.per_slot_steps;
         c.bulk_slots += t.bulk_slots_comm + t.bulk_slots_configured + t.bulk_slots_idle;
         c.fresh_builds += static_cast<long>(estimator.build_memo().size() - memo_before);
       }
+      out.materialized_slots += realization.frontier();
     }
   }
   return out;
@@ -91,9 +99,13 @@ TEST(WorkCounters, ExactPerHeuristicCountsRepeatAndMatchTheRecordedTable) {
       {546, 1072, 47676, 0},          // IY
       {25559, 39761, 163589, 0},      // RANDOM
   };
+  // Realizations materialize as far as the runs' queries read, in 512-slot
+  // chunks; the frozen last heuristic's live tail is not recorded.
+  constexpr long kRecordedMaterializedSlots = 55808;
   ASSERT_EQ(recorded.size(), heuristics.size());
   for (int pass = 0; pass < 2; ++pass) {
-    const std::vector<WorkCounts> got = count_work(spec);
+    const WorkPass work = count_work(spec);
+    const std::vector<WorkCounts>& got = work.per_heuristic;
     ASSERT_EQ(got.size(), heuristics.size());
     for (std::size_t h = 0; h < got.size(); ++h) {
       SCOPED_TRACE("pass " + std::to_string(pass) + " heuristic " + heuristics[h]);
@@ -102,6 +114,7 @@ TEST(WorkCounters, ExactPerHeuristicCountsRepeatAndMatchTheRecordedTable) {
       EXPECT_EQ(got[h].bulk_slots, recorded[h].bulk_slots);
       EXPECT_EQ(got[h].fresh_builds, recorded[h].fresh_builds);
     }
+    EXPECT_EQ(work.materialized_slots, kRecordedMaterializedSlots) << "pass " << pass;
   }
 }
 
